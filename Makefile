@@ -79,6 +79,7 @@ crashtest:
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) test -bench 'BenchmarkIterateWorkers' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkSymEig|BenchmarkLeadingLeftALS' -benchmem ./internal/mat/
 
 # overhead measures metrics-enabled vs -disabled cost on the quickstart
 # workload (see EXPERIMENTS.md "Measurement methodology"; must stay <2%).

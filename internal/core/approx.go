@@ -269,7 +269,8 @@ func sliceSVD(slice *mat.Dense, r, l int, keyBase int64, opts Options) (mat.SVDR
 		if err == nil {
 			return res, kern, false, nil
 		}
-		// The Jacobi eigensolver failing to converge is input-determined, so
+		// The eigensolver failing (non-finite input, QL iteration cap) is
+		// input-determined, so
 		// this fallback fires for every worker count alike and results stay
 		// deterministic.
 		res, err = mat.SVD(slice)

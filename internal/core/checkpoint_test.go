@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dterr"
@@ -229,6 +232,35 @@ func TestFingerprintStability(t *testing.T) {
 	}
 	if len(a.Fingerprint()) != 16 {
 		t.Fatalf("fingerprint %q is not 16 hex chars", a.Fingerprint())
+	}
+}
+
+// TestResumeRefusesV1Fingerprint: a checkpoint stamped by the build that
+// ran the cyclic-Jacobi eigensolver (fingerprint scheme v1, whose canonical
+// form had no numerics field) is a different trajectory in the last bits,
+// and resuming from it must be refused rather than spliced into this one.
+func TestResumeRefusesV1Fingerprint(t *testing.T) {
+	cfg := checkpointConfig(2)
+	canon := cfg.Canonical()
+	v1Canon := strings.TrimSuffix(canon, ";numerics=2")
+	if v1Canon == canon {
+		t.Fatalf("canonical form %q carries no numerics=2 field", canon)
+	}
+	sum := sha256.Sum256([]byte("dtucker-config-fp-v1|" + v1Canon))
+	v1 := hex.EncodeToString(sum[:8])
+	if v1 == cfg.Fingerprint() {
+		t.Fatal("v1 and current fingerprints coincide")
+	}
+
+	_, cps := collectCheckpoints(t, cfg, 1)
+	cp := cps[0]
+	cp.Fingerprint = v1
+	rng := rand.New(rand.NewSource(99))
+	x := lowRankTensor(rng, 0.3, 2, 11, 9, 6)
+	opts := cfg.Options()
+	opts.Resume = cp
+	if _, err := Decompose(x, opts); !errors.Is(err, dterr.ErrCorruptArtifact) {
+		t.Fatalf("resume from a v1-fingerprint checkpoint = %v, want ErrCorruptArtifact", err)
 	}
 }
 

@@ -171,6 +171,13 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// numericsVersion names the kernels' rounding behaviour. Equal configs
+// produce bit-identical results only under the same kernels, so a change
+// that moves results in the last bits (version 2: the tridiagonal-QL
+// eigensolver behind every Gram-route leading-vector update) bumps it, and
+// with it every cache key and checkpoint fingerprint.
+const numericsVersion = 2
+
 // Canonical renders the normalized config as a deterministic string — the
 // config half of the serving layer's result-cache key. Equal strings mean
 // "same computation on the same tensor yields bit-identical results": every
@@ -186,9 +193,9 @@ func (c Config) Canonical() string {
 		}
 		sb.WriteString(strconv.Itoa(r))
 	}
-	fmt.Fprintf(&sb, ";slicerank=%d;tol=%s;maxiters=%d;os=%d;pi=%d;seed=%d;leading=%d;noreorder=%t;kernel=%s;profile=%s",
+	fmt.Fprintf(&sb, ";slicerank=%d;tol=%s;maxiters=%d;os=%d;pi=%d;seed=%d;leading=%d;noreorder=%t;kernel=%s;profile=%s;numerics=%d",
 		n.SliceRank, strconv.FormatFloat(n.Tol, 'g', -1, 64), n.MaxIters,
-		n.Oversampling, n.PowerIters, n.Seed, int(n.Leading), n.NoReorder, n.SliceKernel, n.KernelProfile)
+		n.Oversampling, n.PowerIters, n.Seed, int(n.Leading), n.NoReorder, n.SliceKernel, n.KernelProfile, numericsVersion)
 	return sb.String()
 }
 
@@ -200,7 +207,7 @@ func (c Config) Canonical() string {
 // different fingerprint would splice states from two different trajectories
 // and is rejected as a corrupt artifact.
 func (c Config) Fingerprint() string {
-	sum := sha256.Sum256([]byte("dtucker-config-fp-v1|" + c.Canonical()))
+	sum := sha256.Sum256([]byte("dtucker-config-fp-v2|" + c.Canonical()))
 	return hex.EncodeToString(sum[:8])
 }
 

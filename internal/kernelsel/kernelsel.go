@@ -85,9 +85,9 @@ type Profile struct {
 	NumCPU    int    `json:"num_cpu,omitempty"`
 
 	// Cost-model coefficients, in nanoseconds per modeled unit. The first
-	// three scale flop counts; EigNsPerN3 scales s³ for the cyclic-Jacobi
-	// eigendecomposition of the s×s Gram matrix, kept separate because its
-	// effective constant is far from the matmul kernels'.
+	// three scale flop counts; EigNsPerN3 scales s³ for the symmetric
+	// eigendecomposition (mat.SymEig) of the s×s Gram matrix, kept separate
+	// because its effective constant is far from the matmul kernels'.
 	RandSVDNsPerFlop  float64 `json:"randsvd_ns_per_flop"`
 	ExactSVDNsPerFlop float64 `json:"exact_svd_ns_per_flop"`
 	GramNsPerFlop     float64 `json:"gram_ns_per_flop"`
@@ -172,7 +172,7 @@ func (p *Profile) CostNanos(k Kernel, m, n, r, oversampling, powerIters int) flo
 		return p.ExactSVDNsPerFlop * exactFlops(m, n)
 	case KernelGramEig:
 		// Forming the symmetric Gram matrix (m·n·s), recovering the long
-		// factor (2·m·n·r), plus the s×s Jacobi eigendecomposition.
+		// factor (2·m·n·r), plus the s×s symmetric eigendecomposition.
 		return p.GramNsPerFlop*(fm*fn*s+2*fm*fn*fr) + p.EigNsPerN3*s*s*s
 	}
 	return math.Inf(1)

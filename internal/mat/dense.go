@@ -1,8 +1,9 @@
 // Package mat implements the dense linear-algebra kernel used by every
 // algorithm in this repository: a row-major dense matrix type with the
 // standard arithmetic, and the factorizations Tucker methods rely on
-// (Householder QR, partially pivoted LU, cyclic Jacobi symmetric
-// eigendecomposition, and a QR-preconditioned one-sided Jacobi SVD).
+// (Householder QR, partially pivoted LU, symmetric eigendecomposition by
+// Householder tridiagonalization and implicit QL, and a QR-preconditioned
+// one-sided Jacobi SVD).
 //
 // The package uses float64 throughout and depends only on the standard
 // library. Dimension mismatches are programmer errors and panic with a

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -254,25 +255,11 @@ func TestSymEigKnown2x2(t *testing.T) {
 
 func TestSymEigReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	for _, n := range []int{1, 2, 3, 5, 10, 20} {
-		b := RandN(n+3, n, rng)
-		a := Gram(b)
-		res, err := SymEig(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Rebuild V·Λ·Vᵀ.
-		lam := New(n, n)
-		for i, v := range res.Values {
-			lam.Set(i, i, v)
-		}
-		rebuilt := Mul(Mul(res.Vectors, lam), res.Vectors.T())
-		if !rebuilt.EqualApprox(a, 1e-9*(1+a.Norm())) {
-			t.Fatalf("eig reconstruction failed for n=%d", n)
-		}
-		if !isOrthonormalCols(res.Vectors, 1e-10) {
-			t.Fatalf("eigenvectors not orthonormal for n=%d", n)
-		}
+	for _, n := range []int{1, 2, 3, 5, 10, 20, 64, 128} {
+		// A Gram matrix and an indefinite symmetric matrix of each size.
+		checkSymEig(t, fmt.Sprintf("gram n=%d", n), Gram(RandN(n+3, n, rng)))
+		b := RandN(n, n, rng)
+		checkSymEig(t, fmt.Sprintf("indefinite n=%d", n), b.Add(b.T()))
 	}
 }
 

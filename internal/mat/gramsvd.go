@@ -45,29 +45,54 @@ func GramSVD(a *Dense, k int) (SVDResult, error) {
 	return SVDResult{U: u, S: sig, V: v}, nil
 }
 
-// scaleToUnitColumns normalizes column j of x by σ_j = sqrt(max(λ_j, 0))
-// and returns the singular values. Columns whose eigenvalue is non-positive
-// or whose normalized norm collapsed under cancellation are rebuilt by
-// orthonormal completion with σ_j = 0.
+// scaleToUnitColumns turns x = A·W, whose column j has norm σ_j =
+// sqrt(λ_j), into column-orthonormal form and returns the singular values.
+// Each column is scaled by 1/σ_j and then re-orthogonalized against the
+// columns before it: forming the Gram matrix squares the condition number,
+// so the raw columns are orthogonal only to about ε·(σ_1/σ_j)². Columns
+// whose eigenvalue is non-positive, or which collapse under cancellation,
+// are rebuilt by orthonormal completion with σ_j = 0.
 func scaleToUnitColumns(x *Dense, lambda []float64) []float64 {
 	rows, cols := x.Dims()
 	sig := make([]float64, cols)
+	col := make([]float64, rows)
+	var deficient []int
 	for j := 0; j < cols; j++ {
-		if lambda[j] <= 0 {
-			completeOrthonormalColumn(x, j)
-			continue
+		if lambda[j] > 0 {
+			s := math.Sqrt(lambda[j])
+			inv := 1 / s
+			for i := range col {
+				col[i] = x.data[i*cols+j] * inv
+			}
+			// Two modified Gram–Schmidt passes against the finished
+			// columns ("twice is enough").
+			for pass := 0; pass < 2; pass++ {
+				for c := 0; c < j; c++ {
+					d := 0.0
+					for i, v := range col {
+						d += x.data[i*cols+c] * v
+					}
+					for i := range col {
+						col[i] -= d * x.data[i*cols+c]
+					}
+				}
+			}
+			if norm2 := Dot(col, col); norm2 >= 0.5 {
+				inv = 1 / math.Sqrt(norm2)
+				for i, v := range col {
+					x.data[i*cols+j] = v * inv
+				}
+				sig[j] = s
+				continue
+			}
 		}
-		sig[j] = math.Sqrt(lambda[j])
-		inv := 1 / sig[j]
-		norm := 0.0
 		for i := 0; i < rows; i++ {
-			x.data[i*cols+j] *= inv
-			norm += x.data[i*cols+j] * x.data[i*cols+j]
+			x.data[i*cols+j] = 0
 		}
-		if norm < 0.5 {
-			sig[j] = 0
-			completeOrthonormalColumn(x, j)
-		}
+		deficient = append(deficient, j)
+	}
+	for _, j := range deficient {
+		completeOrthonormalColumn(x, j)
 	}
 	return sig
 }

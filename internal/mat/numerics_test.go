@@ -93,7 +93,7 @@ func TestQRIllConditioned(t *testing.T) {
 }
 
 func TestSymEigClusteredEigenvalues(t *testing.T) {
-	// A matrix with a tight eigenvalue cluster: Jacobi must still produce
+	// A matrix with a tight eigenvalue cluster: SymEig must still produce
 	// an orthonormal basis whose reconstruction is accurate.
 	rng := rand.New(rand.NewSource(3))
 	q := RandOrthonormal(8, 8, rng)

@@ -247,12 +247,15 @@ func (r SVDResult) Truncate(k int) SVDResult {
 type LeadingMethod int
 
 const (
-	// LeadingAuto picks Gram when it is clearly cheaper, else Jacobi SVD.
+	// LeadingAuto takes the Gram route whenever fewer than min(m,n)
+	// directions are wanted, and the full SVD otherwise.
 	LeadingAuto LeadingMethod = iota
-	// LeadingJacobi always runs the full QR+Jacobi SVD.
+	// LeadingJacobi always runs the full SVD (QR + one-sided Jacobi for
+	// small inputs, Golub–Kahan otherwise).
 	LeadingJacobi
-	// LeadingGram forms the smaller Gram matrix and eigendecomposes it.
-	// It halves the work for very rectangular inputs at the price of a
+	// LeadingGram forms the smaller Gram matrix and eigendecomposes it
+	// with SymEig. One product plus one small tridiagonal-QL solve costs a
+	// fraction of a full SVD even for square inputs, at the price of a
 	// squared condition number — fine for extracting dominant subspaces.
 	LeadingGram
 )
@@ -271,8 +274,10 @@ func LeadingLeft(a *Dense, k int, method LeadingMethod) (*Dense, error) {
 		method = LeadingJacobi
 	}
 	if method == LeadingAuto {
-		// Gram pays off when one dimension dwarfs the other.
-		if m >= 2*n || n >= 2*m {
+		// The Gram route is cheaper at every aspect ratio. Only when all
+		// min(m,n) directions are wanted would its squared condition number
+		// reach the trailing vectors, so that case keeps the SVD.
+		if k < min(m, n) {
 			method = LeadingGram
 		} else {
 			method = LeadingJacobi
@@ -320,24 +325,7 @@ func leadingLeftGram(a *Dense, k int) (*Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := eig.Vectors.Slice(0, n, 0, k)
-	u := Mul(a, v) // m×k, columns have norm σ_j
-	for j := 0; j < k; j++ {
-		lambda := eig.Values[j]
-		if lambda <= 0 {
-			completeOrthonormalColumn(u, j)
-			continue
-		}
-		inv := 1 / math.Sqrt(lambda)
-		norm := 0.0
-		for i := 0; i < m; i++ {
-			u.data[i*k+j] *= inv
-			norm += u.data[i*k+j] * u.data[i*k+j]
-		}
-		// Guard against cancellation for tiny eigenvalues.
-		if norm < 0.5 {
-			completeOrthonormalColumn(u, j)
-		}
-	}
+	u := Mul(a, eig.Vectors.Slice(0, n, 0, k)) // m×k, column j has norm σ_j
+	scaleToUnitColumns(u, eig.Values[:k])
 	return u, nil
 }

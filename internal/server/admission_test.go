@@ -134,6 +134,80 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedJobFreesCapacity: a DELETE of a queued job withdraws it
+// before responding, so its queue slot and tenant quota are free for the
+// very next submission while the runner is still busy, and a follower
+// coalesced onto it ends cancelled with it.
+func TestCancelQueuedJobFreesCapacity(t *testing.T) {
+	s := mustNew(t, Config{Runners: 1, QueueDepth: 1, Workers: 1, TenantQuota: 2})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+	release := make(chan struct{})
+	defer close(release)
+
+	running := blockingJob(s, release)
+	if err := s.admit(running); err != nil {
+		t.Fatal(err)
+	}
+	waitJobState(t, running, StateRunning)
+	defer running.cancel()
+
+	keyed := func() *job {
+		j := blockingJob(s, release)
+		j.key = "same-computation"
+		return j
+	}
+	queued := keyed()
+	if err := s.admit(queued); err != nil {
+		t.Fatal(err)
+	}
+	follower := keyed()
+	if leader, err := s.admitOrCoalesce(follower); err != nil || leader != queued {
+		t.Fatalf("follower admission = (%v, %v), want coalesced onto the queued job", leader, err)
+	}
+	over := blockingJob(s, release)
+	if err := s.admit(over); err != errTenantQuota {
+		t.Fatalf("admission at quota returned %v, want errTenantQuota", err)
+	}
+	over.cancel()
+
+	req, err := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+queued.id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.State != StateCancelled {
+		t.Fatalf("DELETE of a queued job answered state %q, want %q", st.State, StateCancelled)
+	}
+	if got := follower.status().State; got != StateCancelled {
+		t.Fatalf("follower of the withdrawn job is %q, want %q", got, StateCancelled)
+	}
+	if got := running.status().State; got != StateRunning {
+		t.Fatalf("running job is %q after cancelling another, want %q", got, StateRunning)
+	}
+
+	// No wait: the slot and the quota charge were released before the
+	// DELETE returned, while the runner still holds the first job.
+	next := blockingJob(s, release)
+	if err := s.admit(next); err != nil {
+		t.Fatalf("admission after cancelling the queued job: %v", err)
+	}
+	next.cancel()
+}
+
 // TestDrainCancelsBlockedJobs proves the drain deadline path without
 // decomposition timing: jobs that never finish on their own are cancelled
 // when the drain context expires, and Drain still returns with all runners

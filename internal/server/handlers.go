@@ -308,10 +308,12 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobCancel is DELETE /v1/jobs/{id}: cancel a queued or running job.
-// The job transitions to cancelled when the decomposition observes the
-// context, at the next phase or sweep boundary. Cancelling a coalesced
-// follower detaches only that record — the leader (and any other
-// followers) keep running.
+// A queued job leaves the queue before the response is written, so its
+// queue slot and tenant quota are free when the DELETE returns; its
+// coalesced followers are cancelled with it. A running job transitions to
+// cancelled when the decomposition observes the context, at the next phase
+// or sweep boundary. Cancelling a coalesced follower detaches only that
+// record — the leader (and any other followers) keep running.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.lookupJob(r.PathValue("id"))
 	if j == nil {
@@ -320,7 +322,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	j.markUserCancelled() // only client DELETEs journal a cancelled record
 	j.cancel()
-	if j.coalesced {
+	if !j.coalesced {
+		s.withdraw(j)
+	} else {
 		// Followers have no runner watching their context; finish them
 		// here. finish is idempotent, so racing with the leader's
 		// completion keeps whichever outcome landed first.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -113,9 +114,9 @@ type TenantStats struct {
 type tenantState struct {
 	name        string
 	weight      int
-	vtime       float64        // WFQ virtual time; smallest backlogged tenant runs next
+	vtime       float64 // WFQ virtual time; smallest backlogged tenant runs next
 	queues      [numLanes][]*job
-	outstanding int            // leaders queued + running, charged against the quota
+	outstanding int // leaders queued + running, charged against the quota
 	stats       TenantStats
 }
 
@@ -313,6 +314,22 @@ func (sc *scheduler) completeLocked(j *job) []*job {
 	followers := j.followers
 	j.followers = nil
 	return followers
+}
+
+// withdrawLocked removes a still-queued leader from its tenant's lane and
+// retires it as completeLocked does, so its queue slot and quota charge are
+// free the moment it returns. It reports false when j is not waiting in a
+// lane (a runner already picked it, or it is a follower); the runner then
+// retires it.
+func (sc *scheduler) withdrawLocked(j *job) ([]*job, bool) {
+	ts := sc.tenantLocked(j.tenant)
+	i := slices.Index(ts.queues[j.lane], j)
+	if i < 0 {
+		return nil, false
+	}
+	ts.queues[j.lane] = slices.Delete(ts.queues[j.lane], i, i+1)
+	sc.queued--
+	return sc.completeLocked(j), true
 }
 
 // tallyLocked records a finished job's terminal state in its tenant's

@@ -530,10 +530,36 @@ func (s *Server) run(j *job) {
 	followers := s.sched.completeLocked(j)
 	s.schedMu.Unlock()
 
+	s.finishLeader(j, followers, dec, err, cacheHit, wait, end.Sub(start), end)
+}
+
+// withdraw retires a leader that a DELETE caught still queued: it leaves its
+// lane at once, releasing its queue slot and tenant quota before the
+// handler responds, and finishes cancelled together with its followers. A
+// job a runner already holds is left to the runner; its cancellation lands
+// at the run's next phase or sweep boundary.
+func (s *Server) withdraw(j *job) {
+	s.schedMu.Lock()
+	followers, ok := s.sched.withdrawLocked(j)
+	s.schedMu.Unlock()
+	if !ok {
+		return
+	}
+	defer s.jobsWG.Done()
+	if ch := j.durableReady; ch != nil {
+		<-ch // journal nothing before the accepted record, as run does
+	}
+	end := time.Now()
+	s.finishLeader(j, followers, nil, context.Canceled, false, end.Sub(j.created), 0, end)
+}
+
+// finishLeader records a retired leader's outcome — state, journal, tally,
+// event — and finishes every follower with the same result.
+func (s *Server) finishLeader(j *job, followers []*job, dec *core.Decomposition, err error, cacheHit bool, wait, run time.Duration, end time.Time) {
 	j.finish(dec, err, cacheHit, end)
 	resultFile, resultDigest := s.persistFinished(j, dec, "", "")
 	state := s.tally(j, err)
-	s.obs.Emit(s.finishEvent(j, state, err, wait, end.Sub(start), cacheKind(cacheHit)))
+	s.obs.Emit(s.finishEvent(j, state, err, wait, run, cacheKind(cacheHit)))
 
 	for _, f := range followers {
 		metrics.Observe(metrics.HistJobCoalesceWait, end.Sub(f.created))
