@@ -60,7 +60,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dterr"
 	"repro/internal/kernelsel"
-	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -80,7 +79,6 @@ func main() {
 		maxIters   = flag.Int("maxiters", 100, "maximum ALS sweeps")
 		sliceRank  = flag.Int("slicerank", 0, "slice SVD rank (0 = max of the two leading ranks)")
 		workers    = flag.Int("workers", 1, "size of the per-decomposition worker pool (parallelizes all three phases; results are bit-identical for any value)")
-		matWorkers = flag.Int("mat-workers", 0, "deprecated alias for -workers; for baseline methods it sizes the process-default kernel pool")
 		seed       = flag.Int64("seed", 0, "random seed for the sketches")
 		exactError = flag.Bool("exact-error", false, "also compute the exact relative error (extra pass over the tensor)")
 		timeout    = flag.Duration("timeout", 0, "abort the decomposition after this duration (0 = no limit); exits with code 3 like Ctrl-C")
@@ -130,20 +128,6 @@ func main() {
 	ranks, err := parseRanks(*ranksArg)
 	if err != nil {
 		fatal(err)
-	}
-	if *matWorkers > 0 {
-		fmt.Fprintln(os.Stderr, "dtucker: -mat-workers is deprecated; use -workers (parallelism is per-decomposition now)")
-		if *method == bench.DTucker {
-			// Route through the decomposition's own pool instead of
-			// mutating process-global state.
-			if *workers <= 1 {
-				*workers = *matWorkers
-			}
-		} else {
-			// Baselines have no pool-aware entry points; they still read
-			// the process-default kernel pool.
-			mat.SetWorkers(*matWorkers)
-		}
 	}
 	if *debugAddr != "" {
 		startDebugServer(*debugAddr)

@@ -41,9 +41,8 @@
 // stitched from O(log T) cached node summaries instead of re-solved from
 // scratch; windows below the stitch threshold solve directly, and results
 // are cached append-stably. The -range-* flags tune the index and
-// -range-index=false disables it. POST to the same path is a deprecated
-// alias that answers with a Deprecation header. See docs/OPERATIONS.md
-// ("Range queries").
+// -range-index=false disables it. See docs/OPERATIONS.md ("Range
+// queries").
 //
 // Durability: -data-dir enables the crash-safe job journal. Accepted
 // decompose jobs are journaled before the 202 is written, checkpointed

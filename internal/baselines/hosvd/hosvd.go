@@ -20,8 +20,6 @@ import (
 type Options struct {
 	// Ranks holds the target core dimensionalities, one per mode.
 	Ranks []int
-	// Leading selects the singular-vector extraction path.
-	Leading mat.LeadingMethod
 }
 
 // Decompose computes the truncated HOSVD of x.
@@ -35,7 +33,7 @@ func Decompose(x *tensor.Dense, opts Options) (*tucker.Model, error) {
 		if j <= 0 || j > x.Dim(n) {
 			return nil, fmt.Errorf("hosvd: rank %d invalid for mode %d of dimensionality %d", j, n, x.Dim(n))
 		}
-		f, err := mat.LeadingLeft(x.Unfold(n), j, opts.Leading)
+		f, err := mat.LeadingLeft(x.Unfold(n), j, mat.LeadingAuto)
 		if err != nil {
 			return nil, fmt.Errorf("hosvd: mode-%d singular vectors: %w", n, err)
 		}

@@ -33,8 +33,6 @@ type Options struct {
 	MaxIters int
 	// Seed drives the sampling and initialization.
 	Seed int64
-	// Leading selects the singular-vector extraction path.
-	Leading mat.LeadingMethod
 }
 
 // Result is the outcome of a MACH run.
@@ -94,7 +92,7 @@ func Decompose(x *tensor.Dense, opts Options) (*Result, error) {
 	for iters = 1; iters <= opts.MaxIters; iters++ {
 		for n := 0; n < sp.Order(); n++ {
 			y := sp.TTMcUnfolded(factors, n)
-			f, err := mat.LeadingLeft(y, opts.Ranks[n], opts.Leading)
+			f, err := mat.LeadingLeft(y, opts.Ranks[n], mat.LeadingAuto)
 			if err != nil {
 				return nil, fmt.Errorf("mach: mode-%d update: %w", n, err)
 			}
@@ -130,7 +128,7 @@ func initFactors(sp *sptensor.COO, opts Options, rng *rand.Rand) ([]*mat.Dense, 
 		total *= s
 	}
 	if total <= 1<<22 {
-		m, err := hosvd.Decompose(sp.Dense(), hosvd.Options{Ranks: opts.Ranks, Leading: opts.Leading})
+		m, err := hosvd.Decompose(sp.Dense(), hosvd.Options{Ranks: opts.Ranks})
 		if err == nil {
 			return m.Factors, nil
 		}

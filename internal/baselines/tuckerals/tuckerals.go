@@ -42,8 +42,6 @@ type Options struct {
 	Init InitMethod
 	// Seed drives InitRandom.
 	Seed int64
-	// Leading selects the singular-vector extraction path.
-	Leading mat.LeadingMethod
 }
 
 // Result is the outcome of a Tucker-ALS run.
@@ -97,7 +95,7 @@ func Decompose(x *tensor.Dense, opts Options) (*Result, error) {
 		var y *tensor.Dense
 		for n := 0; n < x.Order(); n++ {
 			y = x.TTMAllTransposed(factors, n)
-			f, err := mat.LeadingLeft(y.Unfold(n), opts.Ranks[n], opts.Leading)
+			f, err := mat.LeadingLeft(y.Unfold(n), opts.Ranks[n], mat.LeadingAuto)
 			if err != nil {
 				return nil, fmt.Errorf("tuckerals: mode-%d update: %w", n, err)
 			}
@@ -134,7 +132,7 @@ func initialize(x *tensor.Dense, opts Options) ([]*mat.Dense, error) {
 		}
 		return factors, nil
 	default:
-		m, err := hosvd.Decompose(x, hosvd.Options{Ranks: opts.Ranks, Leading: opts.Leading})
+		m, err := hosvd.Decompose(x, hosvd.Options{Ranks: opts.Ranks})
 		if err != nil {
 			return nil, fmt.Errorf("tuckerals: HOSVD initialization: %w", err)
 		}

@@ -71,8 +71,6 @@ type Options struct {
 	Seed int64
 	// CGIters caps the CGLS iterations for large core solves (default 60).
 	CGIters int
-	// Leading selects the singular-vector extraction path (TTMTS only).
-	Leading mat.LeadingMethod
 }
 
 // Result is the outcome of a run.
@@ -237,7 +235,7 @@ func sweepTTMTS(ts *sketch.TensorSketches, factors []*mat.Dense, core **tensor.D
 	for n := 0; n < order; n++ {
 		t := kronSketchSkip(ts, factors, n, ts.M1, true)
 		y := mat.MulTA(ts.Z[n], t) // I_n × ∏_{k≠n}J_k ≈ X_(n)(⊗A)
-		f, err := mat.LeadingLeft(y, factors[n].Cols(), opts.Leading)
+		f, err := mat.LeadingLeft(y, factors[n].Cols(), mat.LeadingAuto)
 		if err != nil {
 			return fmt.Errorf("tuckersketch: mode-%d singular vectors: %w", n, err)
 		}

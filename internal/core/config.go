@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/dterr"
-	"repro/internal/mat"
 )
 
 // Config holds the plain-data parameters of a D-Tucker decomposition — the
@@ -50,31 +49,17 @@ type Config struct {
 	// Workers.
 	Seed int64 `json:"seed,omitempty"`
 
-	// Leading selects how dominant singular vectors are extracted during
-	// the iteration phase (see mat.LeadingMethod). The default LeadingAuto
-	// picks the Gram path for very rectangular matrices.
-	Leading mat.LeadingMethod `json:"leading,omitempty"`
-
 	// NoReorder keeps the input's mode order instead of sorting modes by
 	// decreasing dimensionality. Mostly useful in tests and when the
 	// caller knows the first two modes are already the largest.
 	NoReorder bool `json:"no_reorder,omitempty"`
 
-	// ExactSliceSVD replaces the randomized slice SVDs of the
-	// approximation phase with exact ones — the accuracy-versus-speed
-	// ablation of the paper's choice of randomized SVD. Exact slice SVDs
-	// cost O(I1·I2·min(I1,I2)) per slice instead of O(I1·I2·r).
-	//
-	// Deprecated: equivalent to SliceKernel "exact"; kept for wire
-	// compatibility. The two spellings normalize to the same canonical key.
-	ExactSliceSVD bool `json:"exact_slice_svd,omitempty"`
-
 	// SliceKernel selects the slice-compression kernel of the
 	// approximation phase: "randsvd" (the paper's default), "exact" (dense
-	// SVD, the accuracy ablation), "gram" (Gram-eigendecomposition, cheap
-	// for very rectangular slices), or "auto" (per-slice cost-model choice
-	// via internal/kernelsel). Empty selects "exact" when ExactSliceSVD is
-	// set and "randsvd" otherwise.
+	// SVD, the accuracy ablation: O(I1·I2·min(I1,I2)) per slice instead of
+	// O(I1·I2·r)), "gram" (Gram-eigendecomposition, cheap for very
+	// rectangular slices), or "auto" (per-slice cost-model choice via
+	// internal/kernelsel). Empty selects "randsvd".
 	SliceKernel string `json:"slice_kernel,omitempty"`
 
 	// KernelProfile is the fingerprint of the kernelsel profile that "auto"
@@ -88,7 +73,7 @@ type Config struct {
 
 // Validate checks the config's internal consistency without a tensor in
 // hand: Ranks must be present and positive, numeric knobs finite and within
-// range, Leading a defined method. The per-tensor checks (Ranks length
+// range, SliceKernel a known name. The per-tensor checks (Ranks length
 // versus order, ranks versus dimensionalities) happen at decomposition time.
 // Every violation wraps dterr.ErrInvalidInput.
 func (c Config) Validate() error {
@@ -112,17 +97,10 @@ func (c Config) Validate() error {
 	if c.PowerIters < -1 {
 		return fmt.Errorf("core: PowerIters %d below -1 (the disable sentinel): %w", c.PowerIters, dterr.ErrInvalidInput)
 	}
-	if c.Leading < mat.LeadingAuto || c.Leading > mat.LeadingGram {
-		return fmt.Errorf("core: unknown LeadingMethod %d: %w", int(c.Leading), dterr.ErrInvalidInput)
-	}
 	switch c.SliceKernel {
 	case "", "auto", "randsvd", "exact", "gram":
 	default:
 		return fmt.Errorf("core: unknown SliceKernel %q (want auto, randsvd, exact, or gram): %w",
-			c.SliceKernel, dterr.ErrInvalidInput)
-	}
-	if c.ExactSliceSVD && c.SliceKernel != "" && c.SliceKernel != "exact" {
-		return fmt.Errorf("core: ExactSliceSVD conflicts with SliceKernel %q: %w",
 			c.SliceKernel, dterr.ErrInvalidInput)
 	}
 	return nil
@@ -151,17 +129,9 @@ func (c Config) Normalized() Config {
 	if c.PowerIters == 0 {
 		c.PowerIters = 1
 	}
-	// Fold the legacy ExactSliceSVD flag and the SliceKernel string into one
-	// resolved spelling, so {ExactSliceSVD: true} and {SliceKernel: "exact"}
-	// request — and cache — the same computation.
 	if c.SliceKernel == "" {
-		if c.ExactSliceSVD {
-			c.SliceKernel = "exact"
-		} else {
-			c.SliceKernel = "randsvd"
-		}
+		c.SliceKernel = "randsvd"
 	}
-	c.ExactSliceSVD = c.SliceKernel == "exact"
 	// The profile fingerprint only matters for per-slice auto selection;
 	// clearing it otherwise keeps forced-kernel requests cache-compatible
 	// across processes running different profiles.
@@ -193,9 +163,11 @@ func (c Config) Canonical() string {
 		}
 		sb.WriteString(strconv.Itoa(r))
 	}
-	fmt.Fprintf(&sb, ";slicerank=%d;tol=%s;maxiters=%d;os=%d;pi=%d;seed=%d;leading=%d;noreorder=%t;kernel=%s;profile=%s;numerics=%d",
+	// leading=0 (LeadingAuto, the only route since the Leading field was
+	// removed) stays so journaled cache keys and checkpoints remain valid.
+	fmt.Fprintf(&sb, ";slicerank=%d;tol=%s;maxiters=%d;os=%d;pi=%d;seed=%d;leading=0;noreorder=%t;kernel=%s;profile=%s;numerics=%d",
 		n.SliceRank, strconv.FormatFloat(n.Tol, 'g', -1, 64), n.MaxIters,
-		n.Oversampling, n.PowerIters, n.Seed, int(n.Leading), n.NoReorder, n.SliceKernel, n.KernelProfile, numericsVersion)
+		n.Oversampling, n.PowerIters, n.Seed, n.NoReorder, n.SliceKernel, n.KernelProfile, numericsVersion)
 	return sb.String()
 }
 

@@ -8,21 +8,19 @@ import (
 	"testing"
 
 	"repro/internal/dterr"
-	"repro/internal/mat"
 )
 
 func TestConfigJSONRoundTrip(t *testing.T) {
 	orig := Config{
-		Ranks:         []int{10, 8, 6},
-		SliceRank:     12,
-		Tol:           3e-5,
-		MaxIters:      40,
-		Oversampling:  7,
-		PowerIters:    -1,
-		Seed:          99,
-		Leading:       mat.LeadingGram,
-		NoReorder:     true,
-		ExactSliceSVD: true,
+		Ranks:        []int{10, 8, 6},
+		SliceRank:    12,
+		Tol:          3e-5,
+		MaxIters:     40,
+		Oversampling: 7,
+		PowerIters:   -1,
+		Seed:         99,
+		NoReorder:    true,
+		SliceKernel:  "exact",
 	}
 	b, err := json.Marshal(orig)
 	if err != nil {
@@ -61,7 +59,7 @@ func TestConfigValidate(t *testing.T) {
 		{Ranks: []int{4}, Tol: -1e-4},
 		{Ranks: []int{4}, MaxIters: -1},
 		{Ranks: []int{4}, PowerIters: -2},
-		{Ranks: []int{4}, Leading: mat.LeadingMethod(9)},
+		{Ranks: []int{4}, SliceKernel: "fastest"},
 	}
 	for i, c := range bad {
 		err := c.Validate()
@@ -91,9 +89,8 @@ func TestConfigCanonicalResolvesDefaults(t *testing.T) {
 		{Ranks: []int{5, 5, 5}, Oversampling: 2},
 		{Ranks: []int{5, 5, 5}, PowerIters: 2},
 		{Ranks: []int{5, 5, 5}, Seed: 1},
-		{Ranks: []int{5, 5, 5}, Leading: mat.LeadingJacobi},
 		{Ranks: []int{5, 5, 5}, NoReorder: true},
-		{Ranks: []int{5, 5, 5}, ExactSliceSVD: true},
+		{Ranks: []int{5, 5, 5}, SliceKernel: "exact"},
 	}
 	seen := map[string]int{zero.Canonical(): -1}
 	for i, c := range distinct {
@@ -102,6 +99,43 @@ func TestConfigCanonicalResolvesDefaults(t *testing.T) {
 			t.Fatalf("configs %d and %d share key %s", prev, i, key)
 		}
 		seen[key] = i
+	}
+}
+
+// TestConfigCanonicalGolden pins Canonical and Fingerprint to the values
+// earlier builds journaled. A changed key would make every stored checkpoint
+// and restored cache entry unusable after an upgrade, so the format changes
+// only together with numericsVersion.
+func TestConfigCanonicalGolden(t *testing.T) {
+	cases := []struct {
+		c         Config
+		canonical string
+		fp        string
+	}{
+		{
+			Config{Ranks: []int{8, 8, 8}},
+			"ranks=8,8,8;slicerank=0;tol=0.0001;maxiters=100;os=5;pi=1;seed=0;leading=0;noreorder=false;kernel=randsvd;profile=;numerics=2",
+			"c532e239b44f1666",
+		},
+		{
+			Config{Ranks: []int{10, 8, 6}, SliceRank: 12, Tol: 3e-5, MaxIters: 40, Oversampling: 7,
+				PowerIters: -1, Seed: 99, NoReorder: true, SliceKernel: "exact"},
+			"ranks=10,8,6;slicerank=12;tol=3e-05;maxiters=40;os=7;pi=-1;seed=99;leading=0;noreorder=true;kernel=exact;profile=;numerics=2",
+			"50f3ad68e168a1bf",
+		},
+		{
+			Config{Ranks: []int{6, 6, 4}, SliceKernel: "auto", KernelProfile: "0123456789abcdef"},
+			"ranks=6,6,4;slicerank=0;tol=0.0001;maxiters=100;os=5;pi=1;seed=0;leading=0;noreorder=false;kernel=auto;profile=0123456789abcdef;numerics=2",
+			"d85dcd981dbcef65",
+		},
+	}
+	for i, tc := range cases {
+		if got := tc.c.Canonical(); got != tc.canonical {
+			t.Errorf("case %d: Canonical() = %s, want %s", i, got, tc.canonical)
+		}
+		if got := tc.c.Fingerprint(); got != tc.fp {
+			t.Errorf("case %d: Fingerprint() = %s, want %s", i, got, tc.fp)
+		}
 	}
 }
 

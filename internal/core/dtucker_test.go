@@ -356,7 +356,7 @@ func TestExactSliceSVDAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.ExactSliceSVD = true
+	opts.SliceKernel = "exact"
 	exact, err := Decompose(x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -367,13 +367,13 @@ func TestExactSliceSVDAblation(t *testing.T) {
 	}
 }
 
-func BenchmarkApproxRandomized(b *testing.B) { benchApproxExact(b, false) }
-func BenchmarkApproxExact(b *testing.B)      { benchApproxExact(b, true) }
+func BenchmarkApproxRandomized(b *testing.B) { benchApproxKernel(b, "randsvd") }
+func BenchmarkApproxExact(b *testing.B)      { benchApproxKernel(b, "exact") }
 
-func benchApproxExact(b *testing.B, exact bool) {
+func benchApproxKernel(b *testing.B, kernel string) {
 	rng := rand.New(rand.NewSource(1))
 	x := lowRankTensor(rng, 0.1, 10, 128, 96, 24)
-	opts := Options{Config: Config{Ranks: uniformRanks(3, 10), Seed: 1, ExactSliceSVD: exact}}
+	opts := Options{Config: Config{Ranks: uniformRanks(3, 10), Seed: 1, SliceKernel: kernel}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Approximate(x, opts); err != nil {

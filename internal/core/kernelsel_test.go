@@ -145,14 +145,17 @@ func TestProfileMismatchRejected(t *testing.T) {
 func TestConfigCanonicalKernelKeys(t *testing.T) {
 	base := Config{Ranks: []int{3, 3, 3}}
 
-	// The legacy flag and the new spelling are the same computation and
-	// must share a cache key.
-	legacy := base
-	legacy.ExactSliceSVD = true
+	// Empty and "randsvd" are the same computation and must share a cache
+	// key; "exact" is a different one.
 	spelled := base
-	spelled.SliceKernel = "exact"
-	if legacy.Canonical() != spelled.Canonical() {
-		t.Fatalf("ExactSliceSVD and SliceKernel=exact disagree:\n%s\n%s", legacy.Canonical(), spelled.Canonical())
+	spelled.SliceKernel = "randsvd"
+	if base.Canonical() != spelled.Canonical() {
+		t.Fatalf("empty SliceKernel and randsvd disagree:\n%s\n%s", base.Canonical(), spelled.Canonical())
+	}
+	exact := base
+	exact.SliceKernel = "exact"
+	if exact.Canonical() == base.Canonical() {
+		t.Fatal("SliceKernel=exact shares the randsvd cache key")
 	}
 
 	// A profile fingerprint participates in the key only under "auto":
@@ -178,12 +181,6 @@ func TestConfigCanonicalKernelKeys(t *testing.T) {
 	bad.SliceKernel = "fastest"
 	if err := bad.Validate(); !errors.Is(err, dterr.ErrInvalidInput) {
 		t.Fatalf("Validate(SliceKernel=fastest) = %v, want ErrInvalidInput", err)
-	}
-	conflict := base
-	conflict.ExactSliceSVD = true
-	conflict.SliceKernel = "gram"
-	if err := conflict.Validate(); !errors.Is(err, dterr.ErrInvalidInput) {
-		t.Fatalf("Validate(conflicting kernels) = %v, want ErrInvalidInput", err)
 	}
 }
 

@@ -70,9 +70,8 @@ type Options struct {
 	// does this internally for its refreshes, and dtuckerd shares one pool
 	// across every job). Nil — the default — creates a fresh pool of
 	// Workers size per decomposition. When set, it takes precedence over
-	// Workers. Unlike the deprecated process-global mat.SetWorkers, a pool
-	// is explicit context: concurrent decompositions with different
-	// settings cannot stomp each other.
+	// Workers. A pool is explicit context: concurrent decompositions with
+	// different settings cannot stomp each other.
 	Pool *pool.Pool
 
 	// Metrics, when non-nil, receives per-phase wall times, kernel counter

@@ -83,7 +83,7 @@ func (ap *Approximation) initFactors() ([]*mat.Dense, error) {
 			if err := ap.initBoundary(); err != nil {
 				return nil, err
 			}
-			f, err := mat.LeadingLeft(w.Unfold(n), ap.Ranks[n], ap.opts.Leading)
+			f, err := mat.LeadingLeft(w.Unfold(n), ap.Ranks[n], mat.LeadingAuto)
 			if err != nil {
 				return nil, fmt.Errorf("core: initializing mode-%d factor: %w", n+1, err)
 			}
@@ -125,7 +125,7 @@ func writeScaledBlock(dst, u *mat.Dense, s []float64, col0 int) {
 func leadingOfStack(y *mat.Dense, k int, rng *rand.Rand, opts Options) (*mat.Dense, error) {
 	rows, cols := y.Dims()
 	if cols <= 3*k+8 || rows*cols < 1<<14 {
-		return mat.LeadingLeft(y, k, opts.Leading)
+		return mat.LeadingLeft(y, k, mat.LeadingAuto)
 	}
 	// Stack keys are negative so keyed fault plans aimed at slice indices
 	// (which are ≥ 0) never hit the initialization stacks.
@@ -480,7 +480,7 @@ func (ap *Approximation) iterate(factors []*mat.Dense, startSweep int, prevFit f
 			if err != nil {
 				return nil, 0, iters, false, err
 			}
-			f, err := mat.LeadingLeft(y, ap.Ranks[mode], ap.opts.Leading)
+			f, err := mat.LeadingLeft(y, ap.Ranks[mode], mat.LeadingAuto)
 			if err != nil {
 				return nil, 0, iters, false, fmt.Errorf("core: updating mode-%d factor: %w", mode+1, err)
 			}
@@ -501,7 +501,7 @@ func (ap *Approximation) iterate(factors []*mat.Dense, startSweep int, prevFit f
 				}
 				y = y.ModeProductP(factors[k].T(), k, pl)
 			}
-			f, err := mat.LeadingLeft(y.Unfold(n), ap.Ranks[n], ap.opts.Leading)
+			f, err := mat.LeadingLeft(y.Unfold(n), ap.Ranks[n], mat.LeadingAuto)
 			if err != nil {
 				return nil, 0, iters, false, fmt.Errorf("core: updating mode-%d factor: %w", n+1, err)
 			}

@@ -251,12 +251,12 @@ func (s *Stream) StitchRange(t0, t1 int, parts []*RangeSummary) (_ *Decompositio
 		b1s[i], b2s[i] = p.B1, p.B2
 		sumSq += p.SumSq
 	}
-	a1, err := mat.LeadingLeft(hcat(b1s...), s.opts.Ranks[0], s.opts.Leading)
+	a1, err := mat.LeadingLeft(hcat(b1s...), s.opts.Ranks[0], mat.LeadingAuto)
 	if err != nil {
 		col.EndPhase(metrics.PhaseInit)
 		return nil, fmt.Errorf("core: stitching mode-1 factor: %w", err)
 	}
-	a2, err := mat.LeadingLeft(hcat(b2s...), s.opts.Ranks[1], s.opts.Leading)
+	a2, err := mat.LeadingLeft(hcat(b2s...), s.opts.Ranks[1], mat.LeadingAuto)
 	if err != nil {
 		col.EndPhase(metrics.PhaseInit)
 		return nil, fmt.Errorf("core: stitching mode-2 factor: %w", err)
@@ -301,7 +301,7 @@ func (s *Stream) StitchRange(t0, t1 int, parts []*RangeSummary) (_ *Decompositio
 			}
 			y = y.ModeProductP(factors[k].T(), k, pl)
 		}
-		f, err := mat.LeadingLeft(y.Unfold(n), ap.Ranks[n], s.opts.Leading)
+		f, err := mat.LeadingLeft(y.Unfold(n), ap.Ranks[n], mat.LeadingAuto)
 		if err != nil {
 			return nil, fmt.Errorf("core: stitching mode-%d factor: %w", n+1, err)
 		}

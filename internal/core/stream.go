@@ -249,7 +249,7 @@ func (s *Stream) warmFactors(ap *Approximation) ([]*mat.Dense, error) {
 	for k := 2; k < order-1; k++ {
 		y = y.ModeProduct(factors[k].T(), k)
 	}
-	f, err := mat.LeadingLeft(y.Unfold(order-1), ap.Ranks[order-1], ap.opts.Leading)
+	f, err := mat.LeadingLeft(y.Unfold(order-1), ap.Ranks[order-1], mat.LeadingAuto)
 	if err != nil {
 		return nil, fmt.Errorf("core: warm-starting temporal factor: %w", err)
 	}

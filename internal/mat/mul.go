@@ -3,45 +3,10 @@ package mat
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/pool"
 )
-
-// defaultPool backs the kernels when no explicit pool is passed (the plain
-// Mul/MulInto/... entry points). It starts at size 1, matching the paper's
-// single-thread evaluation protocol; the deprecated SetWorkers resizes it.
-// Decompositions do not read it — they carry their own pool through
-// core.Options and call the ...P variants.
-var defaultPool atomic.Pointer[pool.Pool]
-
-func init() { defaultPool.Store(pool.New(1)) }
-
-// SetWorkers resizes the process-default pool used by kernels called
-// without an explicit pool. n < 1 is treated as 1. It returns the previous
-// setting.
-//
-// Deprecated: parallelism is per-decomposition now — pass Workers (or a
-// shared *pool.Pool) in core.Options instead, so concurrent callers cannot
-// stomp each other's setting. SetWorkers remains as a shim for standalone
-// kernel users and the baseline methods.
-func SetWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	for {
-		old := defaultPool.Load()
-		if defaultPool.CompareAndSwap(old, pool.New(n)) {
-			return old.Size()
-		}
-	}
-}
-
-// Workers returns the size of the process-default pool.
-//
-// Deprecated: see SetWorkers.
-func Workers() int { return defaultPool.Load().Size() }
 
 // effectiveWorkers returns the number of goroutines a row-parallel kernel
 // over the given work would actually use: the pool size, capped so each
@@ -92,8 +57,10 @@ func parallelRows(p *pool.Pool, rows int, flopsPerRow int, fn func(lo, hi int)) 
 	}
 }
 
-// Mul returns a·b, parallelized on the process-default pool.
-func Mul(a, b *Dense) *Dense { return MulP(a, b, defaultPool.Load()) }
+// Mul returns a·b, single-threaded — the paper's evaluation protocol.
+// Decompositions carry their own pool through core.Options and call the
+// ...P variants.
+func Mul(a, b *Dense) *Dense { return MulP(a, b, nil) }
 
 // MulP returns a·b, parallelized on p (nil p runs single-threaded).
 func MulP(a, b *Dense, p *pool.Pool) *Dense {
@@ -106,7 +73,7 @@ func MulP(a, b *Dense, p *pool.Pool) *Dense {
 }
 
 // MulInto computes dst = a·b, overwriting dst. dst must not alias a or b.
-func MulInto(dst, a, b *Dense) { MulIntoP(dst, a, b, defaultPool.Load()) }
+func MulInto(dst, a, b *Dense) { MulIntoP(dst, a, b, nil) }
 
 // MulIntoP is MulInto parallelized on p (nil p runs single-threaded).
 func MulIntoP(dst, a, b *Dense, p *pool.Pool) {
@@ -121,7 +88,7 @@ func MulIntoP(dst, a, b *Dense, p *pool.Pool) {
 }
 
 // MulAddInto computes dst += a·b. dst must not alias a or b.
-func MulAddInto(dst, a, b *Dense) { MulAddIntoP(dst, a, b, defaultPool.Load()) }
+func MulAddInto(dst, a, b *Dense) { MulAddIntoP(dst, a, b, nil) }
 
 // MulAddIntoP computes dst += a·b with rows of the output split across p's
 // workers. dst must not alias a or b.
@@ -291,9 +258,8 @@ func MulTAInto(dst, a, b *Dense) {
 	metrics.ObserveSince(metrics.HistMatmul, t0)
 }
 
-// MulTB returns a·bᵀ without materializing the transpose, parallelized on
-// the process-default pool.
-func MulTB(a, b *Dense) *Dense { return MulTBP(a, b, defaultPool.Load()) }
+// MulTB returns a·bᵀ without materializing the transpose, single-threaded.
+func MulTB(a, b *Dense) *Dense { return MulTBP(a, b, nil) }
 
 // MulTBP is MulTB parallelized on p (nil p runs single-threaded).
 func MulTBP(a, b *Dense, p *pool.Pool) *Dense {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pool"
 )
 
 // naiveMul is the reference triple loop used to validate the optimized
@@ -131,24 +133,17 @@ func TestMulAddIntoAccumulates(t *testing.T) {
 }
 
 func TestMulParallelMatchesSequential(t *testing.T) {
+	// Each output row is owned by one worker, so the determinism contract
+	// promises bit-identical products at any pool size.
 	rng := rand.New(rand.NewSource(9))
 	a := RandN(129, 64, rng)
 	b := RandN(64, 80, rng)
 	seq := Mul(a, b)
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
-	par := Mul(a, b)
-	if !par.EqualApprox(seq, 1e-11) {
-		t.Fatal("parallel Mul disagrees with sequential")
+	p := pool.New(4)
+	if effectiveWorkers(p.Size(), a.rows, 2*a.cols*b.cols) <= 1 {
+		t.Fatal("product too small to exercise the parallel path")
 	}
-}
-
-func TestSetWorkersClamps(t *testing.T) {
-	prev := SetWorkers(-3)
-	defer SetWorkers(prev)
-	if Workers() != 1 {
-		t.Fatalf("Workers() = %d after SetWorkers(-3), want 1", Workers())
-	}
+	sameBits(t, "MulP on 4 workers", MulP(a, b, p), seq)
 }
 
 func TestKroneckerKnown(t *testing.T) {

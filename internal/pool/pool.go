@@ -3,10 +3,10 @@
 // float64 buffers across phases and sweeps, and utilization counters for
 // the metrics report.
 //
-// A *Pool is per-decomposition state. It replaces the process-global
-// parallelism knob (mat.SetWorkers) so two concurrent decompositions with
-// different Workers settings cannot stomp each other: each carries its own
-// pool through core.Options and the mat kernels accept it explicitly.
+// A *Pool is per-decomposition state, not a process-global knob, so two
+// concurrent decompositions with different Workers settings cannot stomp
+// each other: each carries its own pool through core.Options and the mat
+// kernels accept it explicitly.
 //
 // # Determinism
 //

@@ -156,6 +156,13 @@ func TestTaskErrorStopsGroup(t *testing.T) {
 			if task == 3 {
 				return fmt.Errorf("task 3: %w", boom)
 			}
+			if task > 3 {
+				// Tasks after the failing one take long enough that the
+				// other workers cannot drain the whole region while the
+				// failing worker is descheduled between returning the
+				// error and raising the stop flag.
+				time.Sleep(time.Millisecond)
+			}
 			return nil
 		})
 		if !errors.Is(err, boom) {

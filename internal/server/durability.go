@@ -386,8 +386,13 @@ func recoveredRequestID(acc *journal.Record) string {
 func (s *Server) requeueInterruptedJob(id string, fj *foldedJob) error {
 	d := s.dur
 	acc := fj.accepted
+	// Strict like decodeBody: a config naming a field this build no longer
+	// has would otherwise resume as a different computation under the old
+	// cache key.
 	var cfg core.Config
-	if err := json.Unmarshal(acc.Config, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(acc.Config))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return fmt.Errorf("accepted record config: %w: %v", dterr.ErrCorruptArtifact, err)
 	}
 	if _, err := os.Stat(d.tensorPath(id)); err != nil {
@@ -397,7 +402,7 @@ func (s *Server) requeueInterruptedJob(id string, fj *foldedJob) error {
 	j := s.newDurableJob(id, acc, cfg)
 	s.jobsWG.Add(1)
 	s.schedMu.Lock()
-	leader := s.sched.restoreLocked(j)
+	leader := s.sched.enqueueLocked(j)
 	s.schedMu.Unlock()
 	if leader != nil {
 		s.jobsWG.Done()

@@ -118,25 +118,8 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	tenant := requestTenant(r)
 	rid := requestID(r)
 
-	// A cache hit needs no queue slot: the job record is born done.
 	if dec, ok := s.cache.Get(key); ok {
-		j := s.newJob(key, 0, false, nil)
-		j.requestID = rid
-		j.tenant = tenant
-		j.state = StateDone
-		j.dec = dec
-		j.cacheHit = true
-		j.started = j.created
-		j.finished = j.created
-		s.register(j)
-		s.submitted.Add(1)
-		s.completed.Add(1)
-		s.schedMu.Lock()
-		s.sched.cacheHitLocked(tenant)
-		s.schedMu.Unlock()
-		s.emitAdmission(j, "cache_hit", "")
-		annotateJob(r, j, "cache_hit")
-		s.respondSubmitted(w, j, http.StatusOK)
+		s.respondCacheHit(w, r, key, dec, nil)
 		return
 	}
 
@@ -187,6 +170,35 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		close(j.durableReady)
 	}
 	s.respondSubmitted(w, j, http.StatusAccepted)
+}
+
+// respondCacheHit answers a submission straight from the result cache. The
+// job record is born done and needs no queue slot; it is registered so the
+// usual status and result URLs serve it. A range query (sess non-nil) runs
+// in the interactive lane and reports its session's collector and tracer.
+func (s *Server) respondCacheHit(w http.ResponseWriter, r *http.Request, key string, dec *core.Decomposition, sess *session) {
+	j := s.newJob(key, 0, false, nil)
+	j.requestID = requestID(r)
+	j.tenant = requestTenant(r)
+	if sess != nil {
+		j.lane = laneInteractive
+		j.col = sess.col
+		j.tracer = sess.tr
+	}
+	j.state = StateDone
+	j.dec = dec
+	j.cacheHit = true
+	j.started = j.created
+	j.finished = j.created
+	s.register(j)
+	s.submitted.Add(1)
+	s.completed.Add(1)
+	s.schedMu.Lock()
+	s.sched.cacheHitLocked(j.tenant)
+	s.schedMu.Unlock()
+	s.emitAdmission(j, "cache_hit", "")
+	annotateJob(r, j, "cache_hit")
+	s.respondSubmitted(w, j, http.StatusOK)
 }
 
 func (s *Server) respondSubmitted(w http.ResponseWriter, j *job, status int) {

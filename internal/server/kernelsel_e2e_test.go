@@ -91,9 +91,20 @@ func TestBadPriorityHeaderRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, path := range []string{"/decompose", "/range"} {
-		resp := postWithHeaders(t, hs.URL+"/v1/streams/"+sr.StreamID+path,
-			server.SolveRequest{}, map[string]string{"X-Priority": "urgent"})
+	base := hs.URL + "/v1/streams/" + sr.StreamID
+	rangeReq, err := http.NewRequest(http.MethodGet, base+"/range?t0=0&t1=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rangeReq.Header.Set("X-Priority", "urgent")
+	rangeResp, err := http.DefaultClient.Do(rangeReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, resp := range map[string]*http.Response{
+		"/decompose": postWithHeaders(t, base+"/decompose", server.SolveRequest{}, map[string]string{"X-Priority": "urgent"}),
+		"/range":     rangeResp,
+	} {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("stream %s with bad priority: status %d, want 400", path, resp.StatusCode)
 		}

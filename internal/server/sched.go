@@ -185,63 +185,55 @@ func (sc *scheduler) tenantLocked(name string) *tenantState {
 
 // submitLocked admits j, coalesces it onto an in-flight leader, or rejects
 // it. It returns (leader, nil) when j was attached as a follower, (nil, nil)
-// when j was enqueued, and (nil, err) when it was shed. Callers hold the
-// server's scheduling lock and signal the dispatch condition on success.
+// when j was enqueued, and (nil, err) when it was shed. Only a job that
+// would enqueue passes the quota and capacity gates: a follower takes no
+// queue slot. Callers hold the server's scheduling lock and signal the
+// dispatch condition on success.
 func (sc *scheduler) submitLocked(j *job, now time.Time) (*job, error) {
+	if sc.leaderLocked(j) == nil {
+		ts := sc.tenantLocked(j.tenant)
+		if sc.quota > 0 && ts.outstanding >= sc.quota {
+			ts.stats.RejectedQuota++
+			return nil, errTenantQuota
+		}
+		if sc.queued >= sc.capacity {
+			ts.stats.RejectedQueue++
+			if age := sc.headAgeLocked(now); age > 0 {
+				metrics.Observe(metrics.HistJobShedHeadAge, age)
+			}
+			return nil, errQueueFull
+		}
+	}
+	return sc.enqueueLocked(j), nil
+}
+
+// leaderLocked returns the queued-or-running job j would coalesce onto, nil
+// when j must execute itself.
+func (sc *scheduler) leaderLocked(j *job) *job {
+	if !sc.coalesce || j.key == "" {
+		return nil
+	}
+	return sc.inflight[j.key]
+}
+
+// enqueueLocked attaches j as a follower of its in-flight leader, returning
+// the leader, or enqueues it in its tenant's lane and returns nil. It
+// applies no gates: submitLocked checks them first, and journal replay
+// calls it directly because a recovered job was already admitted by a
+// previous process life — shedding it now would turn an acknowledged
+// submission into a silent drop.
+func (sc *scheduler) enqueueLocked(j *job) *job {
 	ts := sc.tenantLocked(j.tenant)
-	if sc.coalesce && j.key != "" {
-		if leader := sc.inflight[j.key]; leader != nil {
-			j.coalesced = true
-			leader.followers = append(leader.followers, j)
-			ts.stats.Submitted++
-			ts.stats.Coalesced++
-			return leader, nil
-		}
-	}
-	if sc.quota > 0 && ts.outstanding >= sc.quota {
-		ts.stats.RejectedQuota++
-		return nil, errTenantQuota
-	}
-	if sc.queued >= sc.capacity {
-		ts.stats.RejectedQueue++
-		if age := sc.headAgeLocked(now); age > 0 {
-			metrics.Observe(metrics.HistJobShedHeadAge, age)
-		}
-		return nil, errQueueFull
+	if leader := sc.leaderLocked(j); leader != nil {
+		j.coalesced = true
+		leader.followers = append(leader.followers, j)
+		ts.stats.Submitted++
+		ts.stats.Coalesced++
+		return leader
 	}
 	if !ts.backlogged() && ts.vtime < sc.vclock {
 		// The tenant was idle: bring it forward so it cannot spend banked
 		// virtual time starving the tenants that kept the server busy.
-		ts.vtime = sc.vclock
-	}
-	ts.queues[j.lane] = append(ts.queues[j.lane], j)
-	ts.outstanding++
-	ts.stats.Submitted++
-	sc.queued++
-	if j.key != "" {
-		sc.inflight[j.key] = j
-	}
-	return nil, nil
-}
-
-// restoreLocked re-enqueues a job recovered from the durability journal. It
-// is submitLocked minus the quota and capacity gates: the job was already
-// admitted by a previous process life, and shedding it now would turn an
-// acknowledged submission into a silent drop. Coalescing still applies, so
-// identical recovered jobs execute once. Returns the leader when j attached
-// as a follower, nil when it was enqueued.
-func (sc *scheduler) restoreLocked(j *job) *job {
-	ts := sc.tenantLocked(j.tenant)
-	if sc.coalesce && j.key != "" {
-		if leader := sc.inflight[j.key]; leader != nil {
-			j.coalesced = true
-			leader.followers = append(leader.followers, j)
-			ts.stats.Submitted++
-			ts.stats.Coalesced++
-			return leader
-		}
-	}
-	if !ts.backlogged() && ts.vtime < sc.vclock {
 		ts.vtime = sc.vclock
 	}
 	ts.queues[j.lane] = append(ts.queues[j.lane], j)

@@ -41,7 +41,6 @@
 //	POST   /v1/streams/{id}/append   append a chunk (synchronous)
 //	POST   /v1/streams/{id}/decompose submit a full-stream solve job
 //	GET    /v1/streams/{id}/range    submit a time-range query (?t0=&t1=)
-//	POST   /v1/streams/{id}/range    deprecated alias of the GET endpoint
 //	GET    /healthz                  liveness and queue state
 //	GET    /metricz                  counters + histograms (?format=prometheus)
 //	GET    /debugz/requests          flight recorder: recent requests + exemplars
@@ -314,7 +313,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/streams/{id}/append", s.handleStreamAppend)
 	s.mux.HandleFunc("POST /v1/streams/{id}/decompose", s.handleStreamDecompose)
 	s.mux.HandleFunc("GET /v1/streams/{id}/range", s.handleStreamRangeGet)
-	s.mux.HandleFunc("POST /v1/streams/{id}/range", s.handleStreamRangePost)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metricz", s.handleMetricz)
 	s.mux.HandleFunc("GET /debugz/requests", s.handleDebugzRequests)

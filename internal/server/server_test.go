@@ -429,7 +429,8 @@ func TestFaultInjectionOverHTTP(t *testing.T) {
 }
 
 // TestRejectedRequests drives the 400 surface: malformed JSON, bad
-// base64, corrupt tensor bytes, invalid configs, rank/order mismatch.
+// base64, corrupt tensor bytes, invalid configs, rank/order mismatch, and
+// config fields removed from the wire.
 func TestRejectedRequests(t *testing.T) {
 	_, hs, _ := newTestServer(t, server.Config{Workers: 1})
 	x := testTensor(15, 6, 5, 4)
@@ -450,6 +451,15 @@ func TestRejectedRequests(t *testing.T) {
 		"rank/order mismatch": server.DecomposeRequest{
 			Config:    repro.Config{Ranks: []int{2, 2}},
 			TensorB64: tensorB64(t, x),
+		},
+		// Config fields removed from the wire are unknown, not ignored.
+		"removed leading field": map[string]any{
+			"config":     map[string]any{"ranks": []int{2, 2, 2}, "leading": 1},
+			"tensor_b64": tensorB64(t, x),
+		},
+		"removed exact_slice_svd field": map[string]any{
+			"config":     map[string]any{"ranks": []int{2, 2, 2}, "exact_slice_svd": true},
+			"tensor_b64": tensorB64(t, x),
 		},
 	}
 	for name, body := range cases {
@@ -627,60 +637,51 @@ func TestStreamSessions(t *testing.T) {
 	got := streamSolve(t, cl, base+"/decompose", server.SolveRequest{})
 	requireBitIdentical(t, want, got)
 
-	// Range query via the deprecated POST alias, twice: the second
-	// submission must be a cache hit, and both responses must advertise the
-	// deprecation.
+	// Range query via GET, twice: the second submission must be a cache
+	// hit, answered bit-identically.
 	wantRange, err := ref.DecomposeRange(2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRange := streamSolve(t, cl, base+"/range", server.RangeRequest{T0: 2, T1: 9})
-	requireBitIdentical(t, wantRange, gotRange)
-
-	r := postJSON(t, base+"/range", server.RangeRequest{T0: 2, T1: 9})
-	if r.Header.Get("Deprecation") == "" {
-		t.Fatal("POST /range alias did not send a Deprecation header")
+	getReceipt := func() server.SubmitResponse {
+		t.Helper()
+		gr, err := http.Get(base + "/range?t0=2&t1=9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gr.Body.Close()
+		var receipt server.SubmitResponse
+		if err := json.NewDecoder(gr.Body).Decode(&receipt); err != nil {
+			t.Fatal(err)
+		}
+		return receipt
 	}
-	var receipt server.SubmitResponse
-	if err := json.NewDecoder(r.Body).Decode(&receipt); err != nil {
+	first := getReceipt()
+	waitForState(t, cl, first.JobID, server.StateDone)
+	gotRange, err := cl.Result(ctx, first.JobID)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r.Body.Close()
-	if !receipt.CacheHit {
+	requireBitIdentical(t, wantRange, gotRange)
+	second := getReceipt()
+	if !second.CacheHit {
 		t.Fatal("repeated range query missed the cache")
 	}
-	cached, err := cl.Result(ctx, receipt.JobID)
+	cached, err := cl.Result(ctx, second.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, wantRange, cached)
 
-	// The first-class GET endpoint shares the POST alias's cache key: the
-	// same window is a cache hit, answered bit-identically, and GET is not
-	// deprecated.
-	gr, err := http.Get(base + "/range?t0=2&t1=9")
-	if err != nil {
-		t.Fatal(err)
+	// The removed POST form of the range endpoint is not routed.
+	pr := postJSON(t, base+"/range", map[string]int{"t0": 2, "t1": 9})
+	pr.Body.Close()
+	if pr.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /range: status %d, want 405", pr.StatusCode)
 	}
-	if gr.Header.Get("Deprecation") != "" {
-		t.Fatal("GET /range sent a Deprecation header; it is the successor")
-	}
-	var greceipt server.SubmitResponse
-	if err := json.NewDecoder(gr.Body).Decode(&greceipt); err != nil {
-		t.Fatal(err)
-	}
-	gr.Body.Close()
-	if !greceipt.CacheHit {
-		t.Fatal("GET range for a POST-cached window missed the cache")
-	}
-	gcached, err := cl.Result(ctx, greceipt.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, wantRange, gcached)
 
 	// A decompose body carrying the retired t0/t1 fields is rejected: range
-	// parameters moved to the range endpoints.
+	// parameters moved to the range endpoint.
 	br := postJSON(t, base+"/decompose", map[string]int{"t0": 2, "t1": 9})
 	br.Body.Close()
 	if br.StatusCode != http.StatusBadRequest {

@@ -283,28 +283,8 @@ func (s *Server) handleStreamRangeGet(w http.ResponseWriter, r *http.Request) {
 	s.submitRange(w, r, sess, t0, t1, timeoutMs)
 }
 
-// handleStreamRangePost is POST /v1/streams/{id}/range, the deprecated
-// body-carried alias for handleStreamRangeGet. It accepts the historical
-// RangeRequest body unchanged and answers with a Deprecation header (RFC
-// 9745) pointing at the GET endpoint, so existing clients keep working
-// while new ones migrate.
-func (s *Server) handleStreamRangePost(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupStream(r.PathValue("id"))
-	if sess == nil {
-		writeError(w, http.StatusNotFound, &WireError{Kind: KindNotFound, Message: "no such stream"})
-		return
-	}
-	var req RangeRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/streams/{id}/range?t0=&t1=>; rel="successor-version"`)
-	s.submitRange(w, r, sess, req.T0, req.T1, req.TimeoutMs)
-}
-
-// submitRange queues (or cache-answers) a range query on behalf of both
-// range endpoints. Results are cached under rangeKey — the covering chunk
+// submitRange queues (or cache-answers) a range query for
+// handleStreamRangeGet. Results are cached under rangeKey — the covering chunk
 // prefix's digest plus bounds and canonical config — which stays valid
 // across later appends, so no submission-time staleness check is needed.
 // The job itself goes through the session's range index when one is
@@ -326,28 +306,8 @@ func (s *Server) submitRange(w http.ResponseWriter, r *http.Request, sess *sessi
 	}
 	key := rangeKey(sess.prefixDigestLocked(t1), t0, t1, sess.cfg)
 	sess.mu.Unlock()
-	tenant := requestTenant(r)
 	if dec, ok := s.cache.Get(key); ok {
-		j := s.newJob(key, 0, false, nil)
-		j.requestID = requestID(r)
-		j.tenant = tenant
-		j.lane = laneInteractive
-		j.col = sess.col
-		j.tracer = sess.tr
-		j.state = StateDone
-		j.dec = dec
-		j.cacheHit = true
-		j.started = j.created
-		j.finished = j.created
-		s.register(j)
-		s.submitted.Add(1)
-		s.completed.Add(1)
-		s.schedMu.Lock()
-		s.sched.cacheHitLocked(tenant)
-		s.schedMu.Unlock()
-		s.emitAdmission(j, "cache_hit", "")
-		annotateJob(r, j, "cache_hit")
-		s.respondSubmitted(w, j, http.StatusOK)
+		s.respondCacheHit(w, r, key, dec, sess)
 		return
 	}
 	j := s.newStreamJob(sess, time.Duration(timeoutMs)*time.Millisecond, key,
@@ -359,7 +319,7 @@ func (s *Server) submitRange(w http.ResponseWriter, r *http.Request, sess *sessi
 			return sess.st.DecomposeRangeContext(ctx, t0, t1)
 		})
 	j.requestID = requestID(r)
-	j.tenant = tenant
+	j.tenant = requestTenant(r)
 	// Range queries are the interactive workload: they dispatch ahead of
 	// every queued batch solve unless the client explicitly demotes them.
 	j.lane = lane

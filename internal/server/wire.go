@@ -60,21 +60,9 @@ type AppendRequest struct {
 
 // SolveRequest is the body of POST /v1/streams/{id}/decompose. Earlier
 // API versions also carried T0/T1 here for the range endpoint; range
-// parameters now live in RangeRequest (the POST alias body) or, for the
-// first-class GET endpoint, in the query string — a decompose body naming
-// t0/t1 is rejected as an unknown field.
+// parameters now live in the query string of GET /v1/streams/{id}/range —
+// a decompose body naming t0/t1 is rejected as an unknown field.
 type SolveRequest struct {
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	Trace     bool  `json:"trace,omitempty"`
-}
-
-// RangeRequest is the body of the deprecated POST /v1/streams/{id}/range
-// alias. It is wire-compatible with the SolveRequest shape that endpoint
-// historically accepted; new clients should use
-// GET /v1/streams/{id}/range?t0=&t1= instead.
-type RangeRequest struct {
-	T0        int   `json:"t0,omitempty"`
-	T1        int   `json:"t1,omitempty"`
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	Trace     bool  `json:"trace,omitempty"`
 }

@@ -47,9 +47,10 @@ done
 grep -q 'HandleFunc("GET /v1/streams/{id}/range"' internal/server/server.go ||
 	fail "GET /v1/streams/{id}/range is not registered on the instrumented mux in routes()"
 
-# 5. The POST range alias is deprecated: it must advertise that with a
-#    Deprecation header so clients learn to migrate before it is removed.
-grep -q 'Header().Set("Deprecation"' internal/server/stream.go ||
-	fail "the POST /range alias no longer sets the Deprecation header"
+# 5. The POST form of the range route was removed: GET is the one range
+#    endpoint, and a POST there answers 405. No route may re-register it.
+if grep -rn '"POST /v1/streams/{id}/range"' internal/server/ --include='*.go' | grep -v '_test\.go' | grep -q .; then
+	fail "a POST /v1/streams/{id}/range route is registered; range queries are GET only"
+fi
 
 echo "obslint: ok"
