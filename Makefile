@@ -8,12 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the tier-1 gate: vet + build + full test suite, then the
+# verify is the tier-1 gate: gofmt + vet + build + full test suite, then the
 # race detector over EVERY package — the worker pool threads parallelism
 # through core, mat, and tensor, so no package is exempt from race checking —
 # and the fault-injection suite under -race, since injected failures exercise
 # the drain/containment paths that only misbehave under contention.
 verify:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
@@ -117,16 +118,17 @@ load:
 # rangebench measures what the per-stream range index buys on an
 # overlapping-range workload: two hermetic runs of the same offered
 # schedule — many distinct overlapping windows over a 32-step stream —
-# first with the index disabled (exact-range cache only, every distinct
-# window re-solves from scratch), then with it enabled (windows stitch
-# O(log T) cached node summaries). benchreport -compare gates the indexed
-# run against the baseline, so it fails if stitching ever becomes slower
-# than direct solves. The committed LOAD_<date>-range*.json pair records
-# this before/after (see EXPERIMENTS.md).
+# first with a stitch span longer than any window (every distinct window
+# takes rangeidx's direct DecomposeRange fallback, the pre-index path;
+# only the exact-window cache helps), then with the default span (windows
+# stitch O(log T) cached node summaries). benchreport -compare gates the
+# stitched run against the baseline, so it fails if stitching ever becomes
+# slower than direct solves. The committed LOAD_<date>-range*.json pair
+# records this before/after (see EXPERIMENTS.md).
 RANGEMIX = -duration 8s -qps 6 -seed 7 -arrival uniform -mix range=1 \
   -range-chunks 8 -range-windows 12 -self-range-block 4
 rangebench:
-	$(GO) run ./cmd/loadgen -self -self-runners 2 -self-range-index=false \
+	$(GO) run ./cmd/loadgen -self -self-runners 2 -self-range-stitch-span 1000000 \
 	  $(RANGEMIX) -out .range-base.json
 	$(GO) run ./cmd/loadgen -self -self-runners 2 \
 	  $(RANGEMIX) -out .range-head.json
@@ -134,12 +136,13 @@ rangebench:
 	  status=$$?; rm -f .range-base.json .range-head.json; exit $$status
 
 # load-compare re-measures and gates against the newest committed
-# LOAD_*.json. The budget is deliberately wide (schema gate + catastrophic
-# regression catch, not a precision benchmark — shared-CPU latency
-# quantiles are noisy): goodput may halve and quantiles may double before
+# mixed-load LOAD_YYYY-MM-DD.json (the pattern never picks the range pair,
+# LOAD_<date>-range*.json). The budget is deliberately wide (schema gate +
+# catastrophic regression catch, not a precision benchmark — shared-CPU
+# latency quantiles are noisy): goodput may halve and quantiles may double before
 # it fails (exit 4). Refresh the baseline by re-running the load recipe
 # with -out LOAD_$$(date -u +%F).json and committing the file.
-LOAD_BASELINE ?= $(lastword $(sort $(wildcard LOAD_*.json)))
+LOAD_BASELINE ?= $(lastword $(sort $(wildcard LOAD_????-??-??.json)))
 load-compare: load
 	@test -n "$(LOAD_BASELINE)" || { echo "no LOAD_*.json baseline found; see docs/OPERATIONS.md"; exit 2; }
 	$(GO) run ./cmd/benchreport -compare -max-regress 100 $(LOAD_BASELINE) .load-head.json; \

@@ -390,9 +390,11 @@ func (c *Client) Append(ctx context.Context, streamID string, chunk *Tensor) (*S
 // Range submits a time-range query over steps [t0, t1) of a stream via
 // GET /v1/streams/{id}/range and returns the job receipt without waiting.
 // Invalid windows (t0 ≥ t1, out of bounds) fail fast with an *APIError of
-// kind invalid_input; an exact-cache or index hit is answered immediately
-// with SubmitResponse.CacheHit set. Tracing follows the stream session's
-// own trace flag, so SubmitOptions.Trace is ignored here.
+// kind invalid_input. Only a window answered before (an exact-window cache
+// hit) is answered immediately, with SubmitResponse.CacheHit set; any other
+// window, even one the range index can stitch, is a queued job. Tracing
+// follows the stream session's own trace flag, so SubmitOptions.Trace is
+// ignored here.
 func (c *Client) Range(ctx context.Context, streamID string, t0, t1 int, opts *SubmitOptions) (*SubmitResponse, error) {
 	path := fmt.Sprintf("/v1/streams/%s/range?t0=%d&t1=%d", url.PathEscape(streamID), t0, t1)
 	rid := ""
@@ -420,39 +422,9 @@ func (c *Client) Range(ctx context.Context, streamID string, t0, t1 int, opts *S
 // bit-identical to what the daemon's range engine produced for the first
 // query of this window — cache hits replay the identical payload.
 func (c *Client) RangeResult(ctx context.Context, streamID string, t0, t1 int, opts *SubmitOptions) (*Decomposition, error) {
-	policy := DefaultRetryPolicy
-	if c.Retry != nil {
-		policy = *c.Retry
-	}
-	policy = policy.withDefaults()
-
-	var o SubmitOptions
-	if opts != nil {
-		o = *opts
-	}
-	if o.RequestID == "" {
-		o.RequestID = obs.NewRequestID()
-	}
-
-	var receipt *SubmitResponse
-	for attempt := 1; ; attempt++ {
-		var err error
-		receipt, err = c.Range(ctx, streamID, t0, t1, &o)
-		if err == nil {
-			break
-		}
-		var apiErr *APIError
-		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
-			return nil, err
-		}
-		if attempt >= policy.MaxAttempts {
-			return nil, err
-		}
-		if serr := policy.Sleep(ctx, policy.wait(attempt, apiErr.RetryAfter)); serr != nil {
-			return nil, serr
-		}
-	}
-	return c.awaitResult(ctx, policy, receipt.JobID, o.RequestID)
+	return c.submitAndAwait(ctx, opts, func(o *SubmitOptions) (*SubmitResponse, error) {
+		return c.Range(ctx, streamID, t0, t1, o)
+	})
 }
 
 // Job fetches the current job record.
@@ -534,15 +506,24 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 // in-process — the daemon runs the same deterministic library. ctx bounds
 // the whole interaction, including backoff waits.
 func (c *Client) Decompose(ctx context.Context, x *Tensor, cfg Config, opts *SubmitOptions) (*Decomposition, error) {
+	return c.submitAndAwait(ctx, opts, func(o *SubmitOptions) (*SubmitResponse, error) {
+		return c.Submit(ctx, x, cfg, o)
+	})
+}
+
+// submitAndAwait is the body of the blocking paths (Decompose,
+// RangeResult): submit, retrying 429 load-shed rejections under the
+// client's RetryPolicy, then await the job's result. One request ID covers
+// the whole interaction — submit retries, polls, and the result fetch — so
+// the daemon's log tells a single story even when the first attempts are
+// shed.
+func (c *Client) submitAndAwait(ctx context.Context, opts *SubmitOptions, submit func(*SubmitOptions) (*SubmitResponse, error)) (*Decomposition, error) {
 	policy := DefaultRetryPolicy
 	if c.Retry != nil {
 		policy = *c.Retry
 	}
 	policy = policy.withDefaults()
 
-	// One request ID covers the whole interaction — submit retries, polls,
-	// and the result fetch — so the daemon's log tells a single story even
-	// when the first attempts are shed.
 	var o SubmitOptions
 	if opts != nil {
 		o = *opts
@@ -550,28 +531,19 @@ func (c *Client) Decompose(ctx context.Context, x *Tensor, cfg Config, opts *Sub
 	if o.RequestID == "" {
 		o.RequestID = obs.NewRequestID()
 	}
-	rid := o.RequestID
-
-	var receipt *SubmitResponse
 	for attempt := 1; ; attempt++ {
-		var err error
-		receipt, err = c.Submit(ctx, x, cfg, &o)
+		receipt, err := submit(&o)
 		if err == nil {
-			break
+			return c.awaitResult(ctx, policy, receipt.JobID, o.RequestID)
 		}
 		var apiErr *APIError
-		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
-			return nil, err
-		}
-		if attempt >= policy.MaxAttempts {
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests || attempt >= policy.MaxAttempts {
 			return nil, err
 		}
 		if serr := policy.Sleep(ctx, policy.wait(attempt, apiErr.RetryAfter)); serr != nil {
 			return nil, serr
 		}
 	}
-
-	return c.awaitResult(ctx, policy, receipt.JobID, rid)
 }
 
 // awaitResult polls one accepted job to a terminal state and fetches its

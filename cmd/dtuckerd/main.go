@@ -39,10 +39,10 @@
 // window of a streaming session. Each session keeps a segment-tree range
 // index over its preprocessed slice blocks, so overlapping windows are
 // stitched from O(log T) cached node summaries instead of re-solved from
-// scratch; windows below the stitch threshold solve directly, and results
-// are cached append-stably. The -range-* flags tune the index and
-// -range-index=false disables it. See docs/OPERATIONS.md ("Range
-// queries").
+// scratch; windows below the stitch threshold solve directly, and each
+// answered window is cached for the life of its session (appends never
+// change it). The -range-* flags tune the index. See docs/OPERATIONS.md
+// ("Range queries").
 //
 // Durability: -data-dir enables the crash-safe job journal. Accepted
 // decompose jobs are journaled before the 202 is written, checkpointed
@@ -62,8 +62,8 @@
 //	         [-tenant-quota 0] [-tenant-weights a=4,b=1]
 //	         [-tenant-weight-default 1] [-coalesce=true]
 //	         [-kernel-profile prof.json] [-autotune]
-//	         [-range-index=true] [-range-block 8] [-range-rank 0]
-//	         [-range-stitch-span 0] [-range-min-fit 0]
+//	         [-range-block 8] [-range-rank 0] [-range-stitch-span 0]
+//	         [-range-min-fit 0]
 //	         [-data-dir /var/lib/dtuckerd] [-checkpoint-every 1]
 //	         [-read-header-timeout 10s] [-idle-timeout 2m]
 package main
@@ -144,7 +144,6 @@ func run() int {
 		dataDir         = flag.String("data-dir", "", "directory for the durable job journal and checkpoints (empty = ephemeral)")
 		checkpointEvery = flag.Int("checkpoint-every", 1, "checkpoint durable jobs every N ALS sweeps (1 = every sweep)")
 
-		rangeIndex      = flag.Bool("range-index", true, "maintain per-stream range indexes; stream range queries stitch cached node summaries instead of re-solving")
 		rangeBlock      = flag.Int("range-block", 0, "range-index block size in time steps (0 = default 8)")
 		rangeRank       = flag.Int("range-rank", 0, "columns kept per range-index node summary (0 = auto from the request's ranks)")
 		rangeStitchSpan = flag.Int("range-stitch-span", 0, "minimum window span to stitch; shorter windows solve directly (0 = 2×block, negative = always stitch)")
@@ -226,7 +225,6 @@ func run() int {
 		KernelProfile:       profile,
 		DataDir:             *dataDir,
 		CheckpointEvery:     *checkpointEvery,
-		DisableRangeIndex:   !*rangeIndex,
 		RangeBlockSize:      *rangeBlock,
 		RangeSummaryRank:    *rangeRank,
 		RangeMinStitchSpan:  *rangeStitchSpan,

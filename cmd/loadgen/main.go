@@ -62,8 +62,8 @@ func run() int {
 		selfWorkers    = flag.Int("self-workers", 0, "with -self: worker-pool size (0 = all CPUs)")
 		selfQuota      = flag.Int("self-quota", 0, "with -self: per-tenant outstanding quota (0 = unlimited)")
 		selfWeights    = flag.String("self-weights", "", "with -self: server WFQ weights, name=weight,...")
-		selfRangeIndex = flag.Bool("self-range-index", true, "with -self: maintain per-stream range indexes (false measures the exact-range-cache baseline)")
 		selfRangeBlock = flag.Int("self-range-block", 0, "with -self: range-index block size in time steps (0 = default 8)")
+		selfStitchSpan = flag.Int("self-range-stitch-span", 0, "with -self: minimum window span to stitch; shorter windows solve directly (0 = 2×block; a span longer than every window measures the direct-solve baseline)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "loadgen: ", log.LstdFlags)
@@ -104,13 +104,13 @@ func run() int {
 			return 2
 		}
 		srv, err := server.New(server.Config{
-			QueueDepth:        *selfQueue,
-			Runners:           *selfRunners,
-			Workers:           *selfWorkers,
-			TenantQuota:       *selfQuota,
-			TenantWeights:     weights,
-			DisableRangeIndex: !*selfRangeIndex,
-			RangeBlockSize:    *selfRangeBlock,
+			QueueDepth:         *selfQueue,
+			Runners:            *selfRunners,
+			Workers:            *selfWorkers,
+			TenantQuota:        *selfQuota,
+			TenantWeights:      weights,
+			RangeBlockSize:     *selfRangeBlock,
+			RangeMinStitchSpan: *selfStitchSpan,
 		})
 		if err != nil {
 			logger.Printf("server: %v", err)

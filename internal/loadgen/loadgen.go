@@ -45,7 +45,7 @@ import (
 // Operation names accepted in Spec.Mix.
 const (
 	OpDecompose = "decompose" // POST /v1/decompose, poll, fetch result
-	OpRange     = "range"     // POST /v1/streams/{id}/range, poll, fetch result
+	OpRange     = "range"     // GET /v1/streams/{id}/range, poll, fetch result
 	OpAppend    = "append"    // POST /v1/streams/{id}/append (synchronous)
 )
 
@@ -384,9 +384,9 @@ type engine struct {
 }
 
 // prepare generates the payload pool and, when the mix needs them, the two
-// stream sessions: a frozen one that range queries hit (so its digest — and
-// therefore its range-cache keys — stay stable) and a growing one that
-// appends extend.
+// stream sessions: a frozen one that range queries hit (so every drawn
+// window stays valid, and neither its answers nor the server's work for
+// them depend on when appends land) and a growing one that appends extend.
 func (e *engine) prepare(ctx context.Context, rng *rand.Rand) error {
 	spec := e.spec
 	e.tensorB64 = make([][]string, len(spec.Sizes))

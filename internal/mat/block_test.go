@@ -111,14 +111,14 @@ func TestEffectiveWorkersOverflow(t *testing.T) {
 		size, rows, flopsPerRow int
 		want                    int
 	}{
-		{8, math.MaxInt / 2, 8, 8},               // product overflows → saturate at pool size
-		{8, math.MaxInt, math.MaxInt, 8},         // extreme overflow
-		{8, 2, 1 << 15, 1},                       // tiny work still serializes
-		{8, 1 << 10, 1 << 10, 8},                 // comfortably parallel, no overflow
-		{4, (1 << 16) * 3, 1, 3},                 // partial clamp below pool size
-		{6, 1, math.MaxInt, 1},                   // a single row can never be split
-		{8, math.MaxInt/8 + 1, 8, 8},             // just past the overflow boundary
-		{8, math.MaxInt / 8, 8, 8},               // just inside: exact division, no overflow
+		{8, math.MaxInt / 2, 8, 8},       // product overflows → saturate at pool size
+		{8, math.MaxInt, math.MaxInt, 8}, // extreme overflow
+		{8, 2, 1 << 15, 1},               // tiny work still serializes
+		{8, 1 << 10, 1 << 10, 8},         // comfortably parallel, no overflow
+		{4, (1 << 16) * 3, 1, 3},         // partial clamp below pool size
+		{6, 1, math.MaxInt, 1},           // a single row can never be split
+		{8, math.MaxInt/8 + 1, 8, 8},     // just past the overflow boundary
+		{8, math.MaxInt / 8, 8, 8},       // just inside: exact division, no overflow
 	}
 	for _, c := range cases {
 		if got := effectiveWorkers(c.size, c.rows, c.flopsPerRow); got != c.want {

@@ -29,22 +29,12 @@ func cacheKey(digest string, cfg core.Config) string {
 	return digest + "|" + cfg.Canonical()
 }
 
-// chainDigest folds one chunk digest into a stream's rolling digest, so a
-// stream's identity is the ordered sequence of its appended chunks.
-func chainDigest(prev, chunk string) string {
-	h := sha256.Sum256([]byte(prev + "+" + chunk))
-	return hex.EncodeToString(h[:])
-}
-
-// rangeKey is the single builder for range-query cache keys: a prefix
-// digest identifying the appended chunks that cover [0, t1), the range
-// bounds, and the canonical config — which includes the kernel-selection
-// profile fingerprint for "auto" requests, so results computed under
-// different profiles never collide (the same guarantee cacheKey gives
-// decompose jobs). Keying by the covering *prefix* digest rather than the
-// whole-stream rolling digest makes range results append-stable: a range
-// answered before later appends is a cache hit after them, because an
-// append-only stream never changes the slices a submitted range covers.
-func rangeKey(prefixDigest string, t0, t1 int, cfg core.Config) string {
-	return fmt.Sprintf("stream:%s|range:%d-%d|%s", prefixDigest, t0, t1, cfg.Canonical())
+// rangeKey is the single builder for range-query cache keys: the stream
+// session and the window bounds. The session stands for everything else a
+// range result depends on — its config (with the stamped kernel-profile
+// fingerprint) and the steps it holds, which appends never change — and
+// its ID is never reused within a process. Range results are never
+// journaled, so the key need not survive a restart.
+func rangeKey(streamID string, t0, t1 int) string {
+	return fmt.Sprintf("stream:%s|range:%d-%d", streamID, t0, t1)
 }

@@ -624,35 +624,29 @@ func (s *Server) checkpointSink(j *job) func(*core.Checkpoint) error {
 	}
 }
 
-// persistFinished commits a durable job's terminal outcome. For done jobs
-// the result is spilled before the record, so "finished done" always
-// references a servable result; resultFile/resultDigest, when non-empty,
-// reuse a spill already written (coalesced followers share their leader's).
-// It returns the result file name and digest for followers to reuse.
+// persistFinished commits a durable job's terminal outcome: dec on success,
+// else err, with userCancelled set when a client DELETE asked for the
+// cancellation. For done jobs the result is spilled before the record, so
+// "finished done" always references a servable result; resultFile/
+// resultDigest, when non-empty, reuse a spill already written (coalesced
+// followers share their leader's). It returns the result file name and
+// digest for followers to reuse.
 //
 // Drain-time cancellations are not journaled: the job stays "interrupted" on
 // disk and a restarted server resumes it. Client-requested cancellations
-// (job.userCancelled) and timeouts commit a cancelled record.
-func (s *Server) persistFinished(j *job, dec *core.Decomposition, resultFile, resultDigest string) (string, string) {
+// and timeouts commit a cancelled record.
+func (s *Server) persistFinished(j *job, dec *core.Decomposition, err error, userCancelled bool, resultFile, resultDigest string) (string, string) {
 	if s.dur == nil || !j.persist.Load() {
 		return resultFile, resultDigest
 	}
 	d := s.dur
-	j.mu.Lock()
-	state := j.state
-	errKind, errMessage := "", ""
-	if we := wireError(j.err); we != nil {
-		errKind, errMessage = we.Kind, we.Message
-	}
-	userCancelled := j.userCancelled
-	j.mu.Unlock()
-
 	if !j.terminalPersisted.CompareAndSwap(false, true) {
 		return resultFile, resultDigest
 	}
 	rec := journal.Record{Job: j.id, AtMs: nowMs()}
-	switch state {
-	case StateDone:
+	we := wireError(err)
+	switch {
+	case err == nil:
 		if resultFile == "" {
 			resultFile = filepath.Base(d.resultPath(j.id))
 			// The spill bytes are hashed as they are written: .dtd has no
@@ -683,7 +677,7 @@ func (s *Server) persistFinished(j *job, dec *core.Decomposition, resultFile, re
 		rec.Fit = dec.Fit
 		rec.Converged = dec.Converged
 		rec.Iters = dec.Stats.Iters
-	case StateCancelled:
+	case we.Kind == KindCancelled:
 		if !userCancelled && s.draining.Load() {
 			return resultFile, resultDigest // graceful restart: resume, don't abandon
 		}
@@ -691,8 +685,8 @@ func (s *Server) persistFinished(j *job, dec *core.Decomposition, resultFile, re
 	default:
 		rec.Type = journal.RecFinished
 		rec.Outcome = "failed"
-		rec.ErrKind = errKind
-		rec.ErrMessage = errMessage
+		rec.ErrKind = we.Kind
+		rec.ErrMessage = we.Message
 	}
 	if err := d.jl.Append(rec); err != nil {
 		d.appendFailures.Add(1)

@@ -332,7 +332,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, &WireError{Kind: KindNotFound, Message: "no such job"})
 		return
 	}
-	j.markUserCancelled() // only client DELETEs journal a cancelled record
+	j.userCancelled.Store(true) // only client DELETEs journal a cancelled record
 	j.cancel()
 	if !j.coalesced {
 		s.withdraw(j)
@@ -340,9 +340,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		// Followers have no runner watching their context; finish them
 		// here. finish is idempotent, so racing with the leader's
 		// completion keeps whichever outcome landed first.
-		j.finish(nil, context.Canceled, false, time.Now())
-		if j.status().State == StateCancelled {
-			s.persistFinished(j, nil, "", "")
+		if j.finish(nil, context.Canceled, false, time.Now()) {
+			s.persistFinished(j, nil, context.Canceled, true, "", "")
 		}
 	}
 	writeJSON(w, http.StatusOK, j.status())

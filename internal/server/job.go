@@ -86,6 +86,11 @@ type job struct {
 	// follower is finished both by its DELETE handler and by its leader's
 	// completion, and must not journal two terminal records.
 	terminalPersisted atomic.Bool
+	// userCancelled distinguishes a client-requested DELETE from a drain or
+	// timeout cancellation; only the former journals a cancelled record
+	// during a drain (see persistFinished). Set before the job's context is
+	// cancelled, so a runner that sees the cancellation also sees the flag.
+	userCancelled atomic.Bool
 
 	mu       sync.Mutex
 	state    string
@@ -98,9 +103,6 @@ type job struct {
 	// sweep is the latest durably checkpointed ALS sweep (0 until the first
 	// checkpoint commits).
 	sweep int
-	// userCancelled distinguishes a client-requested DELETE from a drain
-	// or timeout cancellation; only the former journals a cancelled record.
-	userCancelled bool
 	// Restored-terminal-job state: the result summary replayed from the
 	// journal, the spill file the payload is lazily loaded from, and the
 	// sha256 the spill's bytes must hash to (.dtd has no own checksum).
@@ -127,29 +129,24 @@ func (j *job) setSweep(sweep int) {
 	j.mu.Unlock()
 }
 
-// markUserCancelled flags a client-requested cancellation (DELETE), the
-// only kind that commits a journal record — see persistFinished.
-func (j *job) markUserCancelled() {
-	j.mu.Lock()
-	j.userCancelled = true
-	j.mu.Unlock()
-}
-
-// finish moves the job to its terminal state. It is idempotent: a job that
-// already finished (e.g. a coalesced follower cancelled individually before
-// its leader completed) keeps its first outcome.
-func (j *job) finish(dec *core.Decomposition, err error, cacheHit bool, now time.Time) {
+// finish moves the job to its terminal state and reports whether this call
+// set it. It is idempotent: a job that already finished (e.g. a coalesced
+// follower cancelled individually before its leader completed) keeps its
+// first outcome. A finished job drops its exec closure, so the registry's
+// retained records do not keep their input tensors alive.
+func (j *job) finish(dec *core.Decomposition, err error, cacheHit bool, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCancelled {
-		return
+		return false
 	}
+	j.exec = nil
 	j.finished = now
 	j.cacheHit = j.cacheHit || cacheHit
 	if err == nil {
 		j.state = StateDone
 		j.dec = dec
-		return
+		return true
 	}
 	j.err = err
 	if wireError(err).Kind == KindCancelled {
@@ -157,6 +154,7 @@ func (j *job) finish(dec *core.Decomposition, err error, cacheHit bool, now time
 	} else {
 		j.state = StateFailed
 	}
+	return true
 }
 
 // result returns the decomposition when the job is done, else nil.

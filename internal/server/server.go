@@ -128,17 +128,14 @@ type Config struct {
 	// in time steps (0 selects 8); RangeSummaryRank the retained summary
 	// rank (0 selects the core default); RangeMinStitchSpan the span below
 	// which queries run a direct solve (0 selects 2·RangeBlockSize, negative
-	// disables the size fallback); RangeMinFit the stitched-fit floor below
-	// which a query is re-answered directly (0 disables).
+	// disables the size fallback; a span longer than any window makes every
+	// query a direct DecomposeRange, the pre-index behaviour); RangeMinFit
+	// the stitched-fit floor below which a query is re-answered directly (0
+	// disables).
 	RangeBlockSize     int
 	RangeSummaryRank   int
 	RangeMinStitchSpan int
 	RangeMinFit        float64
-	// DisableRangeIndex turns the segment tree off: range queries always run
-	// a direct DecomposeRange (the pre-index behavior, kept as the loadgen
-	// baseline and an operational escape hatch). Exact-range result caching
-	// still applies either way.
-	DisableRangeIndex bool
 
 	// KernelProfile is the calibrated kernelsel profile that requests with
 	// SliceKernel "auto" resolve against. Its fingerprint is stamped into
@@ -551,19 +548,26 @@ func (s *Server) withdraw(j *job) {
 	s.finishLeader(j, followers, nil, context.Canceled, false, end.Sub(j.created), 0, end)
 }
 
-// finishLeader records a retired leader's outcome — state, journal, tally,
-// event — and finishes every follower with the same result.
+// finishLeader records a retired leader's outcome — journal, state, tally,
+// event — and finishes every follower with the same result. The leader's
+// durable record commits before its terminal state is published, so a
+// client that sees it finished finds its outcome journaled and its result
+// spilled; a leader has exactly one finisher, so nothing races the record.
+// A follower publishes first and commits after, because its own DELETE may
+// finish it concurrently (persistFinished is exactly-once either way).
 func (s *Server) finishLeader(j *job, followers []*job, dec *core.Decomposition, err error, cacheHit bool, wait, run time.Duration, end time.Time) {
+	resultFile, resultDigest := s.persistFinished(j, dec, err, j.userCancelled.Load(), "", "")
 	j.finish(dec, err, cacheHit, end)
-	resultFile, resultDigest := s.persistFinished(j, dec, "", "")
 	state := s.tally(j, err)
 	s.obs.Emit(s.finishEvent(j, state, err, wait, run, cacheKind(cacheHit)))
 
 	for _, f := range followers {
 		metrics.Observe(metrics.HistJobCoalesceWait, end.Sub(f.created))
-		f.finish(dec, err, false, end)
+		finished := f.finish(dec, err, false, end)
 		f.cancel()
-		s.persistFinished(f, dec, resultFile, resultDigest)
+		if finished {
+			s.persistFinished(f, dec, err, f.userCancelled.Load(), resultFile, resultDigest)
+		}
 		fstate := s.tally(f, err)
 		ev := s.finishEvent(f, fstate, err, end.Sub(f.created), 0, "coalesced")
 		ev.Leader = j.id

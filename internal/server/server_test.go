@@ -829,7 +829,7 @@ func TestStreamRangeStitchE2E(t *testing.T) {
 	requireBitIdentical(t, want, got)
 
 	// Grow the stream; the already-answered window must still hit the
-	// cache — its covering prefix is unchanged by the append.
+	// cache — an append never changes the steps the window covers.
 	r := postJSON(t, base+"/append", server.AppendRequest{TensorB64: tensorB64(t, testTensor(44, 10, 9, 4))})
 	r.Body.Close()
 	if r.StatusCode != http.StatusOK {
@@ -845,7 +845,7 @@ func TestStreamRangeStitchE2E(t *testing.T) {
 	}
 	gr.Body.Close()
 	if !receipt.CacheHit {
-		t.Fatal("range re-query after append missed the cache; prefix keys should be append-stable")
+		t.Fatal("range re-query after append missed the cache; range keys should survive appends")
 	}
 	cached, err := cl.Result(ctx, receipt.JobID)
 	if err != nil {

@@ -15,50 +15,29 @@ import (
 	"repro/internal/trace"
 )
 
-// session is one streaming decomposition: a core.Stream plus the identity
-// and instrumentation the serving layer needs. The mutex serializes every
-// stream operation — appends are synchronous HTTP calls, solves run as
-// queued jobs, and both take the lock, so a solve sees a frozen stream.
+// session is one streaming decomposition: a core.Stream, its range index,
+// and the identity and instrumentation the serving layer needs. The mutex
+// serializes every stream operation — appends are synchronous HTTP calls,
+// solves run as queued jobs, and both take the lock, so a solve sees a
+// frozen stream.
 //
-// The rolling digest identifies the ordered sequence of appended chunks;
-// marks additionally record the digest after every append, so a range
-// query is keyed by the shortest chunk prefix covering it (see rangeKey) —
-// append-stable, because an append-only stream never changes the slices an
-// already-covered range reads. Range-query results are cached under
-// rangeKey(prefix digest, range, canonical config): both the direct
-// DecomposeRange and the rangeidx stitch are pure functions of the covered
-// slices. Full-stream solves are NOT cached — Decompose warm-starts from
-// the previous solve's factors, so its result depends on the session's
-// solve history, not only on the appended data.
+// Range-query results are cached under rangeKey(session id, range): the
+// session's stream fixes the config (including the stamped kernel-profile
+// fingerprint), an append-only stream never changes the steps it already
+// holds, and stream IDs are never reused within a process, so a cached
+// window stays valid across later appends. Both the rangeidx stitch and its
+// direct DecomposeRange fallback are pure functions of the covered slices.
+// Full-stream solves are NOT cached — Decompose warm-starts from the
+// previous solve's factors, so its result depends on the session's solve
+// history, not only on the appended data.
 type session struct {
 	id  string
-	cfg core.Config
 	col *metrics.Collector
 	tr  *trace.Tracer // non-nil when the session was created with trace:true
 
-	mu     sync.Mutex
-	st     *core.Stream
-	idx    *rangeidx.Index // nil with Config.DisableRangeIndex
-	digest string
-	marks  []streamMark
-}
-
-// streamMark records the rolling digest after one successful append: the
-// identity of the chunk prefix holding the first len time steps.
-type streamMark struct {
-	len    int
-	digest string
-}
-
-// prefixDigestLocked returns the digest of the shortest appended-chunk
-// prefix covering [0, t1). Callers hold sess.mu and guarantee t1 ≤ Len().
-func (sess *session) prefixDigestLocked(t1 int) string {
-	for _, m := range sess.marks {
-		if m.len >= t1 {
-			return m.digest
-		}
-	}
-	return sess.digest
+	mu  sync.Mutex
+	st  *core.Stream
+	idx *rangeidx.Index
 }
 
 func (s *Server) newSession(cfg core.Config, traced bool) *session {
@@ -72,15 +51,13 @@ func (s *Server) newSession(cfg core.Config, traced bool) *session {
 	opts.Pool = s.pl
 	opts.Metrics = col
 	opts.Profile = s.cfg.KernelProfile
-	sess := &session{cfg: cfg, col: col, tr: tr, st: core.NewStream(opts)}
-	if !s.cfg.DisableRangeIndex {
-		sess.idx = rangeidx.New(sess.st, rangeidx.Config{
-			BlockSize:     s.cfg.RangeBlockSize,
-			SummaryRank:   s.cfg.RangeSummaryRank,
-			MinStitchSpan: s.cfg.RangeMinStitchSpan,
-			MinFit:        s.cfg.RangeMinFit,
-		})
-	}
+	st := core.NewStream(opts)
+	sess := &session{col: col, tr: tr, st: st, idx: rangeidx.New(st, rangeidx.Config{
+		BlockSize:     s.cfg.RangeBlockSize,
+		SummaryRank:   s.cfg.RangeSummaryRank,
+		MinStitchSpan: s.cfg.RangeMinStitchSpan,
+		MinFit:        s.cfg.RangeMinFit,
+	})}
 	s.mu.Lock()
 	s.nextStream++
 	sess.id = fmt.Sprintf("s-%06d", s.nextStream)
@@ -180,11 +157,6 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, &WireError{Kind: KindInvalidInput, Message: err.Error()})
 		return
 	}
-	chunkDigest, err := tensorDigest(chunk)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, &WireError{Kind: KindInternal, Message: err.Error()})
-		return
-	}
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -197,16 +169,12 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, we)
 		return
 	}
-	sess.digest = chainDigest(sess.digest, chunkDigest)
-	sess.marks = append(sess.marks, streamMark{len: sess.st.Len(), digest: sess.digest})
-	if sess.idx != nil {
-		// Best-effort eager indexing: fold the new steps into the range
-		// index's node cache so later range queries hit warm summaries. A
-		// failure here only loses the warm-up — queries rebuild nodes
-		// lazily — so it must not fail the append.
-		if err := sess.idx.Advance(r.Context()); err != nil {
-			s.cfg.Logf("stream %s: range-index advance: %v", sess.id, err)
-		}
+	// Best-effort eager indexing: fold the new steps into the range index's
+	// node cache so later range queries hit warm summaries. A failure here
+	// only loses the warm-up — queries rebuild nodes lazily — so it must not
+	// fail the append.
+	if err := sess.idx.Advance(r.Context()); err != nil {
+		s.cfg.Logf("stream %s: range-index advance: %v", sess.id, err)
 	}
 	writeJSON(w, http.StatusOK, sess.statusLocked())
 }
@@ -284,12 +252,11 @@ func (s *Server) handleStreamRangeGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // submitRange queues (or cache-answers) a range query for
-// handleStreamRangeGet. Results are cached under rangeKey — the covering chunk
-// prefix's digest plus bounds and canonical config — which stays valid
-// across later appends, so no submission-time staleness check is needed.
-// The job itself goes through the session's range index when one is
-// enabled, composing the answer from O(log T) cached node summaries, and
-// falls back to a direct DecomposeRange otherwise.
+// handleStreamRangeGet. Results are cached under rangeKey — the session and
+// the bounds — which stays valid across later appends (see session), so no
+// submission-time staleness check is needed. The job asks the session's
+// range index, which stitches the answer from O(log T) cached node
+// summaries or falls back to a direct DecomposeRange.
 func (s *Server) submitRange(w http.ResponseWriter, r *http.Request, sess *session, t0, t1 int, timeoutMs int64) {
 	lane, werr := requestLane(r, laneInteractive)
 	if werr != nil {
@@ -304,19 +271,16 @@ func (s *Server) submitRange(w http.ResponseWriter, r *http.Request, sess *sessi
 			Message: fmt.Sprintf("range: [%d, %d) is not a valid window into a stream of %d steps", t0, t1, n)})
 		return
 	}
-	key := rangeKey(sess.prefixDigestLocked(t1), t0, t1, sess.cfg)
 	sess.mu.Unlock()
+	key := rangeKey(sess.id, t0, t1)
 	if dec, ok := s.cache.Get(key); ok {
 		s.respondCacheHit(w, r, key, dec, sess)
 		return
 	}
 	j := s.newStreamJob(sess, time.Duration(timeoutMs)*time.Millisecond, key,
 		func(ctx context.Context) (*core.Decomposition, error) {
-			if sess.idx != nil {
-				dec, _, err := sess.idx.Query(ctx, t0, t1)
-				return dec, err
-			}
-			return sess.st.DecomposeRangeContext(ctx, t0, t1)
+			dec, _, err := sess.idx.Query(ctx, t0, t1)
+			return dec, err
 		})
 	j.requestID = requestID(r)
 	j.tenant = requestTenant(r)

@@ -68,7 +68,7 @@ func TestReadFromRejectsCorruptHeaders(t *testing.T) {
 		raw  []byte
 	}{
 		{"zero order", tenHeader(0, nil, nil)},
-		{"huge order", tenHeader(1 << 20, nil, nil)},
+		{"huge order", tenHeader(1<<20, nil, nil)},
 		{"zero dimension", tenHeader(2, []uint64{4, 0}, nil)},
 		{"oversized dimension", tenHeader(1, []uint64{1 << 40}, nil)},
 		{"bad magic", []byte("NOPE\x01\x00\x00\x00")},

@@ -54,14 +54,14 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 // events carry a duration, so every emitted span is balanced by
 // construction; "M" metadata events name the lanes.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Ts   float64        `json:"ts"`  // microseconds
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	Pid  int     `json:"pid"`
+	Tid  int     `json:"tid"`
+	Ts   float64 `json:"ts"` // microseconds
 	// Dur is emitted on every X event (not omitempty: a zero-duration span
 	// without a dur field renders as unterminated in some viewers).
-	Dur float64 `json:"dur"` // microseconds
+	Dur  float64        `json:"dur"` // microseconds
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -109,8 +109,8 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		}
 		events = append(events, chromeEvent{
 			Name: sp.Name, Ph: "X", Pid: 1, Tid: sp.Lane,
-			Ts:  float64(sp.Start.Nanoseconds()) / 1e3,
-			Dur: float64(sp.Dur.Nanoseconds()) / 1e3,
+			Ts:   float64(sp.Start.Nanoseconds()) / 1e3,
+			Dur:  float64(sp.Dur.Nanoseconds()) / 1e3,
 			Args: args,
 		})
 	}
